@@ -12,9 +12,8 @@ from .core import (DegenerateReferenceError, DegenerateSignalError, NoisyData,
 from .operators import (JacobianCheckReport, MatrixOperator, NonlinearOperator,
                         PowerCsOperator, estimate_smooth_lipschitz,
                         fd_jacobian_check)
-from .prox import (ProxSolution, half_variation, lambda_weights, mu_star,
-                   mu_star_bisect, prox_sql1, prox_sql1_bisect, psi,
-                   soft_threshold)
+from .prox import (ProxSolution, lambda_weights, mu_star, mu_star_bisect,
+                   prox_sql1, prox_sql1_bisect, psi, soft_threshold)
 from .regfunc import RegParams, objective, reg_value, smooth_grad
 from .solvers import (IterateTrace, RecoveryResult, SolverConfig, hv_solve,
                       hv_step, ista_solve, stationarity_residual, stl1l2_solve)
@@ -30,8 +29,8 @@ __all__ = [
     "gaussian_instance", "relative_error", "snr_db",
     "JacobianCheckReport", "MatrixOperator", "NonlinearOperator",
     "PowerCsOperator", "estimate_smooth_lipschitz", "fd_jacobian_check",
-    "ProxSolution", "half_variation", "lambda_weights", "mu_star",
-    "mu_star_bisect", "prox_sql1", "prox_sql1_bisect", "psi", "soft_threshold",
+    "ProxSolution", "lambda_weights", "mu_star", "mu_star_bisect",
+    "prox_sql1", "prox_sql1_bisect", "psi", "soft_threshold",
     "RegParams", "objective", "reg_value", "smooth_grad",
     "IterateTrace", "RecoveryResult", "SolverConfig", "hv_solve", "hv_step",
     "ista_solve", "stationarity_residual", "stl1l2_solve",

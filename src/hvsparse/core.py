@@ -13,6 +13,11 @@ import numpy as np
 
 SNR_CAP_DB = 300.0
 
+# Magnitudes past this count as overflow: squaring them (in a power of the
+# forward model, the prox certificate or an iterate's norm) would leave the
+# float64 range. Guards raise NumericalOverflowError rather than return inf.
+MAGNITUDE_LIMIT = 1e150
+
 
 class ParameterError(ValueError):
     """An argument is outside its documented domain."""

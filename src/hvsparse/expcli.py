@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -163,36 +164,20 @@ def preset_spec(name: str) -> ExperimentSpec:
         return ExperimentSpec(preset=name, solvers=SOLVER_NAMES, compat_alpha=True)
     if name == "custom":
         return ExperimentSpec(preset=name)
-    raise ParameterError(
-        f"unknown preset {name!r}; choose test1..test5, custom, or rate")
+    raise ParameterError(f"unknown preset {name!r}; choose test1..test5 or custom")
 
 
 @dataclass(frozen=True)
 class _Task:
-    """One grid point and seed; the unit of (possibly parallel) execution."""
+    """One grid point and seed of a spec; the unit of (possibly parallel) execution."""
 
-    preset: str
-    seed: int
-    n: int
-    m: int
-    s: int
-    scale: float
-    amplitude: float
+    spec: ExperimentSpec
     c: int
     d: int
     eta: float
     L: float
     level_db: float
-    alpha_mode: str
-    alpha: float | None
-    kappa: float
-    tau: float
-    beta_over_alpha: float
-    solvers: tuple[str, ...]
-    max_iters: int
-    tol: float
-    x0_value: float
-    compat_alpha: bool
+    seed: int
     want_traces: bool
 
 
@@ -205,58 +190,41 @@ class _TaskResult:
 
 
 def _build_tasks(spec: ExperimentSpec, want_traces: bool) -> list[_Task]:
-    tasks = []
-    for c in spec.c_list:
-        for d in spec.d_list:
-            for eta in spec.eta_list:
-                for big_l in spec.L_list:
-                    for db in spec.level_db_list:
-                        if spec.alpha_mode == "per_level":
-                            mode, alpha = "explicit", spec.alpha_per_level[float(db)]
-                        else:
-                            mode, alpha = spec.alpha_mode, spec.alpha
-                        for seed in spec.seeds:
-                            tasks.append(_Task(
-                                preset=spec.preset, seed=int(seed), n=spec.n, m=spec.m,
-                                s=spec.s, scale=spec.scale, amplitude=spec.amplitude,
-                                c=int(c), d=int(d), eta=float(eta), L=float(big_l),
-                                level_db=float(db), alpha_mode=mode, alpha=alpha,
-                                kappa=spec.kappa, tau=spec.tau,
-                                beta_over_alpha=spec.beta_over_alpha,
-                                solvers=spec.solvers, max_iters=spec.max_iters,
-                                tol=spec.tol, x0_value=spec.x0_value,
-                                compat_alpha=spec.compat_alpha,
-                                want_traces=want_traces))
-    return tasks
+    grid = itertools.product(spec.c_list, spec.d_list, spec.eta_list, spec.L_list,
+                             spec.level_db_list, spec.seeds)
+    return [_Task(spec, int(c), int(d), float(eta), float(big_l), float(db), int(seed),
+                  want_traces)
+            for c, d, eta, big_l, db, seed in grid]
 
 
 def _run_task(task: _Task) -> _TaskResult:
-    a, x_true = gaussian_instance(task.n, task.m, task.s, task.scale,
+    spec = task.spec
+    a, x_true = gaussian_instance(spec.n, spec.m, spec.s, spec.scale,
                                   np.random.SeedSequence((task.seed, 0)),
-                                  amplitude=task.amplitude)
+                                  amplitude=spec.amplitude)
     op = PowerCsOperator(a, task.c, task.d)
     data = add_noise_db(op.apply(x_true), task.level_db,
                         np.random.SeedSequence((task.seed, 1)))
-    cfg = SolverConfig(L=task.L, max_iters=task.max_iters, tol=task.tol,
-                       x0=task.x0_value * np.ones(task.n),
-                       compat_alpha_mode=task.compat_alpha,
+    cfg = SolverConfig(L=task.L, max_iters=spec.max_iters, tol=spec.tol,
+                       x0=spec.x0_value * np.ones(spec.n),
+                       compat_alpha_mode=spec.compat_alpha,
                        record_trace=task.want_traces)
 
-    if task.alpha_mode == "explicit":
-        alpha = float(task.alpha)
-    elif task.alpha_mode == "apriori":
-        alpha = apriori_alpha(data.noise_norm, 2.0, task.kappa)
-    elif task.alpha_mode == "discrepancy":
+    if spec.alpha_mode == "explicit":
+        alpha = float(spec.alpha)
+    elif spec.alpha_mode == "per_level":
+        alpha = float(spec.alpha_per_level[task.level_db])
+    elif spec.alpha_mode == "apriori":
+        alpha = apriori_alpha(data.noise_norm, 2.0, spec.kappa)
+    else:  # discrepancy
         search = discrepancy_search(op, data.y_delta, data.noise_norm, task.eta,
-                                    DiscrepancyConfig(solver=cfg, tau=task.tau))
+                                    DiscrepancyConfig(solver=cfg, tau=spec.tau))
         alpha = search.alpha
-    else:
-        raise ParameterError(f"unresolved alpha_mode {task.alpha_mode!r}")
 
-    rows = []
-    curves = {}
-    digests = {}
-    for solver in task.solvers:
+    rows, curves, digests = [], {}, {}
+    nan = float("nan")
+    for solver in spec.solvers:
+        # hashed before each solve, so a solver that mutated the shared data shows
         digests[solver] = hashlib.sha256(data.y_delta.tobytes()).hexdigest()
         start = time.perf_counter()
         try:
@@ -266,27 +234,25 @@ def _run_task(task: _Task) -> _TaskResult:
                 result = ista_solve(op, data.y_delta, alpha, cfg, x_true)
             else:
                 result = stl1l2_solve(op, data.y_delta, alpha,
-                                      task.beta_over_alpha * alpha, cfg, x_true)
-            runtime_ms = (time.perf_counter() - start) * 1000.0
-            rows.append(ResultRow(
-                preset=task.preset, seed=task.seed, solver=solver, n=task.n,
-                m=task.m, s=task.s, c=task.c, d=task.d, eta=task.eta, L=task.L,
-                alpha=alpha, level_db=task.level_db, iterations=result.iterations,
-                runtime_ms=runtime_ms, snr_db=snr_db(result.x_star, x_true),
-                rel_error=relative_error(result.x_star, x_true),
-                final_residual=result.final_residual,
-                termination=result.termination))
+                                      spec.beta_over_alpha * alpha, cfg, x_true)
+        except NumericalOverflowError:
+            result = None
+        runtime_ms = (time.perf_counter() - start) * 1000.0
+        if result is None:
+            outcome = dict(iterations=0, snr_db=nan, rel_error=nan,
+                           final_residual=nan, termination=TERMINATION_FAILED)
+        else:
+            outcome = dict(iterations=result.iterations,
+                           snr_db=snr_db(result.x_star, x_true),
+                           rel_error=relative_error(result.x_star, x_true),
+                           final_residual=result.final_residual,
+                           termination=result.termination)
             if task.want_traces:
                 curves[solver] = list(result.trace.rel_error)
-        except NumericalOverflowError:
-            runtime_ms = (time.perf_counter() - start) * 1000.0
-            rows.append(ResultRow(
-                preset=task.preset, seed=task.seed, solver=solver, n=task.n,
-                m=task.m, s=task.s, c=task.c, d=task.d, eta=task.eta, L=task.L,
-                alpha=alpha, level_db=task.level_db, iterations=0,
-                runtime_ms=runtime_ms, snr_db=float("nan"),
-                rel_error=float("nan"), final_residual=float("nan"),
-                termination=TERMINATION_FAILED))
+        rows.append(ResultRow(
+            preset=spec.preset, seed=task.seed, solver=solver, n=spec.n, m=spec.m,
+            s=spec.s, c=task.c, d=task.d, eta=task.eta, L=task.L, alpha=alpha,
+            level_db=task.level_db, runtime_ms=runtime_ms, **outcome))
     return _TaskResult(task=task, rows=rows, curves=curves, digests=digests)
 
 
@@ -514,34 +480,23 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return tuple(range(int(text)))
 
 
+def _parse_name_list(text: str) -> tuple[str, ...]:
+    return tuple(tok for tok in text.split(",") if tok)
+
+
 def _spec_overrides(args) -> dict:
     """Collect ExperimentSpec replacements from parsed CLI flags."""
-    over: dict = {}
     direct = {"n": "n", "m": "m", "sparsity": "s", "scale": "scale",
               "max_iters": "max_iters", "tol": "tol", "tau": "tau",
               "kappa": "kappa", "beta_ratio": "beta_over_alpha",
-              "workers": "workers", "out": "out", "x0": "x0_value"}
-    for flag, field_name in direct.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            over[field_name] = value
-    if getattr(args, "compat_alpha", False):
+              "workers": "workers", "out": "out", "x0": "x0_value",
+              "c": "c_list", "d": "d_list", "eta": "eta_list", "L": "L_list",
+              "snr_db": "level_db_list", "seeds": "seeds", "solvers": "solvers"}
+    over = {name: getattr(args, flag) for flag, name in direct.items()
+            if getattr(args, flag) is not None}
+    if args.compat_alpha:
         over["compat_alpha"] = True
-    if getattr(args, "c", None) is not None:
-        over["c_list"] = _parse_int_list(args.c)
-    if getattr(args, "d", None) is not None:
-        over["d_list"] = _parse_int_list(args.d)
-    if getattr(args, "eta", None) is not None:
-        over["eta_list"] = _parse_float_list(args.eta)
-    if getattr(args, "L", None) is not None:
-        over["L_list"] = _parse_float_list(args.L)
-    if getattr(args, "snr_db", None) is not None:
-        over["level_db_list"] = _parse_float_list(args.snr_db)
-    if getattr(args, "seeds", None) is not None:
-        over["seeds"] = _parse_seeds(args.seeds)
-    if getattr(args, "solvers", None) is not None:
-        over["solvers"] = tuple(tok for tok in args.solvers.split(",") if tok)
-    if getattr(args, "alpha", None) is not None:
+    if args.alpha is not None:
         over.update(_parse_alpha(args.alpha))
     return over
 
@@ -589,8 +544,7 @@ def _resolve_spec(args) -> ExperimentSpec:
         spec = _load_config_spec(target)
     else:
         spec = preset_spec(target)
-    over = _spec_overrides(args)
-    return replace(spec, **over) if over else spec
+    return replace(spec, **_spec_overrides(args))
 
 
 def _exit_code_for(rows: list[ResultRow]) -> int:
@@ -598,8 +552,6 @@ def _exit_code_for(rows: list[ResultRow]) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.preset == "rate":
-        return _cmd_rate(args)
     spec = _resolve_spec(args)
     rows = run_experiment(spec)
     out = spec.out or f"{spec.preset}_results.csv"
@@ -629,23 +581,14 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    deltas = (_parse_float_list(args.deltas) if getattr(args, "deltas", None)
-              else tuple(np.geomspace(1e-4, 1e-1, 7)))
-    seeds = _parse_seeds(args.seeds) if getattr(args, "seeds", None) else tuple(range(5))
-    n = args.n or 50
-    m = args.m or 25
-    s = args.sparsity or 4
-    family = InstanceFamily(n=n, m=m, s=s, scale=args.scale or 0.05)
-    cfg = SolverConfig(L=_parse_float_list(args.L)[0] if args.L else 2.0,
-                       max_iters=args.max_iters or 5000,
-                       tol=args.tol or 1e-8)
-    eta = _parse_float_list(args.eta)[0] if args.eta else 1.0
-    report = rate_study(family, deltas, eta, args.q, args.kappa or 1.0, seeds, cfg)
+    family = InstanceFamily(n=args.n, m=args.m, s=args.sparsity, scale=args.scale)
+    cfg = SolverConfig(L=args.L, max_iters=args.max_iters, tol=args.tol)
+    report = rate_study(family, args.deltas, args.eta, args.q, args.kappa, args.seeds, cfg)
     for delta, alpha, err in zip(report.deltas, report.alphas, report.median_errors):
         print(f"delta={delta:.3e} alpha={alpha:.3e} median error={err:.3e}")
     print(f"fitted log-log slope: {report.slope:.4f}"
           + (" (degenerate fit)" if report.degenerate else ""))
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write("delta,alpha,median_error\n")
             for row in zip(report.deltas, report.alphas, report.median_errors):
@@ -669,7 +612,7 @@ def _cmd_prox_check(args) -> int:
 
 def _cmd_jac_check(args) -> int:
     a, x_true = gaussian_instance(args.n, args.m, max(1, args.n // 10),
-                                  args.scale or 0.05, args.seed)
+                                  args.scale, args.seed)
     op = PowerCsOperator(a, args.c_exp, args.d_exp)
     rng = np.random.default_rng(args.seed + 1)
     x = 0.5 * x_true + 0.01 * rng.standard_normal(args.n)
@@ -695,14 +638,17 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, help="signal length")
     p.add_argument("--m", type=int, help="measurement count")
     p.add_argument("--sparsity", type=int, help="nonzero count of the true signal")
-    p.add_argument("--c", help="outer exponent(s), comma separated")
-    p.add_argument("--d", help="inner exponent(s), comma separated")
-    p.add_argument("--eta", help="concave ratio(s) in [0,1], comma separated")
+    p.add_argument("--c", type=_parse_int_list, help="outer exponent(s), comma separated")
+    p.add_argument("--d", type=_parse_int_list, help="inner exponent(s), comma separated")
+    p.add_argument("--eta", type=_parse_float_list,
+                   help="concave ratio(s) in [0,1], comma separated")
     p.add_argument("--alpha", help="penalty weight, or discrepancy/apriori/per-level")
-    p.add_argument("--L", help="step constant(s), comma separated")
-    p.add_argument("--snr-db", dest="snr_db", help="noise level(s) in dB, comma separated")
-    p.add_argument("--seeds", help="seed count, or comma-separated seed list")
-    p.add_argument("--solvers", help="subset of hv,ista,st")
+    p.add_argument("--L", type=_parse_float_list, help="step constant(s), comma separated")
+    p.add_argument("--snr-db", dest="snr_db", type=_parse_float_list,
+                   help="noise level(s) in dB, comma separated")
+    p.add_argument("--seeds", type=_parse_seeds,
+                   help="seed count, or comma-separated seed list")
+    p.add_argument("--solvers", type=_parse_name_list, help="subset of hv,ista,st")
     p.add_argument("--max-iters", dest="max_iters", type=int, help="iteration budget")
     p.add_argument("--tol", type=float, help="adjacent-iterate stopping threshold")
     p.add_argument("--tau", type=float, help="discrepancy band factor (>= 1)")
@@ -725,11 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment preset or JSON config")
-    p_run.add_argument("preset", help="test1..test5, custom, rate, or a config.json")
+    p_run.add_argument("preset", help="test1..test5, custom, or a config.json")
     _add_grid_flags(p_run)
-    p_run.add_argument("--deltas", help="noise norms for `run rate`, comma separated")
-    p_run.add_argument("--q", type=float, default=2.0,
-                       help="fidelity exponent for the a-priori rule")
     p_run.set_defaults(handler=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run several solvers on shared data")
@@ -739,15 +682,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--svg", help="output SVG path for the error curves")
     p_cmp.set_defaults(handler=_cmd_compare)
 
-    p_rate = sub.add_parser("rate", help="error-vs-noise slope study")
-    for flag, kw in (("--n", dict(type=int)), ("--m", dict(type=int)),
-                     ("--sparsity", dict(type=int)), ("--scale", dict(type=float)),
-                     ("--eta", dict()), ("--L", dict()),
-                     ("--max-iters", dict(dest="max_iters", type=int)),
-                     ("--tol", dict(type=float)), ("--kappa", dict(type=float)),
-                     ("--seeds", dict()), ("--deltas", dict()), ("--out", dict())):
-        p_rate.add_argument(flag, **kw)
-    p_rate.add_argument("--q", type=float, default=2.0)
+    p_rate = sub.add_parser("rate", help="error-vs-noise slope study",
+                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p_rate.add_argument("--n", type=int, default=50, help="signal length")
+    p_rate.add_argument("--m", type=int, default=25, help="measurement count")
+    p_rate.add_argument("--sparsity", type=int, default=4,
+                        help="nonzero count of the true signal")
+    p_rate.add_argument("--scale", type=float, default=0.05,
+                        help="sensing-matrix scale factor")
+    p_rate.add_argument("--eta", type=float, default=1.0, help="concave ratio in [0,1]")
+    p_rate.add_argument("--L", type=float, default=2.0, help="step constant")
+    p_rate.add_argument("--max-iters", dest="max_iters", type=int, default=5000,
+                        help="iteration budget")
+    p_rate.add_argument("--tol", type=float, default=1e-8,
+                        help="adjacent-iterate stopping threshold")
+    p_rate.add_argument("--kappa", type=float, default=1.0, help="a-priori rule constant")
+    p_rate.add_argument("--q", type=float, default=2.0,
+                        help="fidelity exponent for the a-priori rule")
+    p_rate.add_argument("--seeds", type=_parse_seeds, default="5",
+                        help="seed count, or comma-separated seed list")
+    p_rate.add_argument("--deltas", type=_parse_float_list,
+                        default=tuple(float(v) for v in np.geomspace(1e-4, 1e-1, 7)),
+                        help="noise norms, comma separated")
+    p_rate.add_argument("--out", help="output CSV path")
     p_rate.set_defaults(handler=_cmd_rate)
 
     p_prox = sub.add_parser("prox-check", help="random prox cross-check battery")

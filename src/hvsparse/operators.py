@@ -15,10 +15,9 @@ from itertools import combinations
 
 import numpy as np
 
+from .core import MAGNITUDE_LIMIT as POWER_LIMIT
 from .core import NumericalOverflowError, ParameterError, as_matrix, as_vector
 from .regfunc import smooth_grad
-
-POWER_LIMIT = 1e150
 
 
 class NonlinearOperator(ABC):

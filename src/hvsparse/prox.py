@@ -173,8 +173,3 @@ def prox_sql1_bisect(x, alpha_eff: float) -> np.ndarray:
     mu = mu_star_bisect(x, alpha_eff)
     lam = np.maximum(np.sqrt(alpha_eff) * np.abs(x) / np.sqrt(mu) - 2.0 * alpha_eff, 0.0)
     return lam * x / (lam + 2.0 * alpha_eff)
-
-
-def half_variation(x, alpha_eff: float) -> np.ndarray:
-    """The shrinkage map used by the solver step; equals prox_sql1(x).p."""
-    return prox_sql1(x, alpha_eff).p

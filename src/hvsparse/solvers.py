@@ -7,9 +7,12 @@ as the smooth part and g(x) = alpha*||x||_1^2 as the convex part, taking
 
 with the squared-l1 prox at effective weight alpha/L (or literal alpha in
 compatibility mode, see SolverConfig). Two soft-thresholding baselines share
-the same loop: plain l1 (ista_solve) and l1-minus-l2 (stl1l2_solve, a
+the same loop and one soft-thresholding body: l1-minus-l2 (stl1l2_solve, a
 reconstruction of the cited iteration: the beta-term gradient -beta*x/||x||
-is skipped at x = 0).
+is skipped at x = 0) and plain l1 (ista_solve, the same body at beta = 0).
+The trace of every loop records the objective its step descends; for
+hv_solve in compatibility mode that is the objective with the squared-l1
+term weighted alpha*L (see SolverConfig.step).
 
 All solvers stop when the l2 distance between adjacent iterates drops below
 ``tol`` or after ``max_iters`` steps. ``hv_solve`` also offers an opt-in
@@ -26,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import MAGNITUDE_LIMIT as DIVERGENCE_LIMIT
 from .core import NumericalOverflowError, ParameterError, as_vector, relative_error, snr_db
 from .prox import prox_sql1, soft_threshold
 
@@ -63,10 +67,7 @@ class SolverConfig:
         When True the prox uses weight alpha instead of alpha/L, matching
         a literal reading of the shrinkage map with the unscaled penalty.
     record_trace : bool
-        Keep per-iteration history.
-    trace_stride : int
-        Record every stride-th iteration (the first and last are always
-        kept) to bound trace memory on long runs.
+        Keep per-iteration history: the initial iterate and every step.
     step : str
         ``"fixed"`` (default): every iteration takes the step 1/L, the
         paper's iteration. ``"accelerated"``: monotone accelerated proximal
@@ -82,8 +83,9 @@ class SolverConfig:
         0.5*||F(x)-y||^2 + alpha*(||x||_1^2 - eta*||x||_2^2) with prox
         weight alpha/L_k; in compat mode it is
         0.5*||F(x)-y||^2 + alpha*(L*||x||_1^2 - eta*||x||_2^2) with prox
-        weight alpha*L/L_k, which is alpha at L_k = L. The trace records
-        that objective.
+        weight alpha*L/L_k, which is alpha at L_k = L. Under either rule
+        the trace records that objective, the one the fixed step at L
+        descends as well.
     """
 
     L: float
@@ -92,7 +94,6 @@ class SolverConfig:
     x0: np.ndarray | None = None
     compat_alpha_mode: bool = False
     record_trace: bool = True
-    trace_stride: int = 1
     step: str = STEP_FIXED
 
     def __post_init__(self):
@@ -102,8 +103,6 @@ class SolverConfig:
             raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (self.tol > 0 and np.isfinite(self.tol)):
             raise ParameterError(f"tol must be positive and finite, got {self.tol}")
-        if self.trace_stride < 1:
-            raise ParameterError(f"trace_stride must be >= 1, got {self.trace_stride}")
         if self.step not in STEP_RULES:
             raise ParameterError(f"step must be one of {STEP_RULES}, got {self.step!r}")
         if self.x0 is not None:
@@ -144,11 +143,6 @@ class RecoveryResult:
     stationarity: float
 
 
-# Iterates past this magnitude are treated as divergence: squaring them (in
-# the prox certificate or the forward model) would leave float64 range.
-DIVERGENCE_LIMIT = 1e150
-
-
 def _check_finite(v: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise NumericalOverflowError(f"{what} became non-finite")
@@ -171,17 +165,6 @@ def _hv_update(op, x, residual, alpha, eta, L, compat):
     return _hv_prox_step(x, grad, alpha, eta, L, alpha if compat else alpha / L)
 
 
-def _st_update(op, x, residual, alpha, beta, L):
-    grad = op.jacobian_adjoint_apply(x, residual)
-    if beta != 0.0:
-        norm_x = np.linalg.norm(x)
-        if norm_x > 0.0:
-            grad = grad - (beta / norm_x) * x
-    v = x - grad / L
-    _check_finite(v, "gradient step v")
-    return soft_threshold(v, alpha / L)
-
-
 def hv_step(op, x, y_delta, alpha: float, eta: float, L: float,
             compat: bool = False) -> np.ndarray:
     """One proximal-gradient step of the main solver from the point x."""
@@ -198,7 +181,7 @@ def stationarity_residual(op, x, y_delta, alpha: float, eta: float, L: float,
     return float(L * np.linalg.norm(x - hv_step(op, x, y_delta, alpha, eta, L, compat)))
 
 
-def _hv_objective(alpha, eta, l1_scale=1.0):
+def _hv_objective(alpha, eta, l1_scale):
     """objective_of(x, res_norm) for 0.5*res^2 + alpha*(l1_scale*||x||_1^2 - eta*||x||^2)."""
     def objective_of(x, res_norm):
         norm1 = float(np.sum(np.abs(x)))
@@ -256,7 +239,7 @@ def _run_fixed_step(op, y_delta, cfg: SolverConfig, update, objective_of,
         residual = _check_finite(op.apply(x) - y_delta, "residual F(x) - y_delta")
         iterations = k
         converged = step < cfg.tol
-        if cfg.record_trace and (k % cfg.trace_stride == 0 or converged or k == cfg.max_iters):
+        if cfg.record_trace:
             res_norm = float(np.linalg.norm(residual))
             record(k, x, objective_of(x, res_norm), res_norm, step)
         if converged:
@@ -270,16 +253,14 @@ def _run_fixed_step(op, y_delta, cfg: SolverConfig, update, objective_of,
                           stationarity=stationarity)
 
 
-def _run_accelerated(op, y_delta, alpha, eta, cfg: SolverConfig,
+def _run_accelerated(op, y_delta, alpha, eta, cfg: SolverConfig, objective_of,
                      x_true) -> RecoveryResult:
     """Monotone accelerated proximal gradient for hv_solve (see SolverConfig.step)."""
     y_delta, x, x_true = _start(op, y_delta, cfg, x_true)
     trace = IterateTrace()
     record = _recorder(trace, x_true)
     L = cfg.L
-    compat = cfg.compat_alpha_mode
-    alpha_eff = alpha if compat else alpha / L
-    objective_of = _hv_objective(alpha, eta, L if compat else 1.0)
+    alpha_eff = alpha if cfg.compat_alpha_mode else alpha / L
 
     def residual_of(u):
         return _check_finite(op.apply(u) - y_delta, "residual F(x) - y_delta")
@@ -337,7 +318,7 @@ def _run_accelerated(op, y_delta, alpha, eta, cfg: SolverConfig,
             x - _hv_prox_step(x, grad, alpha, eta, L, alpha_eff)))
         iterations = k
         converged = fixed_step < cfg.tol
-        if cfg.record_trace and (k % cfg.trace_stride == 0 or converged or k == cfg.max_iters):
+        if cfg.record_trace:
             record(k, x, obj, res_norm, step)
         if converged:
             termination = TERMINATION_CONVERGED
@@ -379,13 +360,34 @@ def hv_solve(op, y_delta, alpha: float, eta: float, cfg: SolverConfig,
         raise ParameterError(f"alpha must be positive and finite, got {alpha}")
     if not (0.0 <= eta <= 1.0):
         raise ParameterError(f"eta must lie in [0, 1], got {eta}")
+    objective_of = _hv_objective(alpha, eta, cfg.L if cfg.compat_alpha_mode else 1.0)
     if cfg.step == STEP_ACCELERATED:
-        return _run_accelerated(op, y_delta, alpha, eta, cfg, x_true)
+        return _run_accelerated(op, y_delta, alpha, eta, cfg, objective_of, x_true)
 
     def update(x, residual):
         return _hv_update(op, x, residual, alpha, eta, cfg.L, cfg.compat_alpha_mode)
 
-    return _run_fixed_step(op, y_delta, cfg, update, _hv_objective(alpha, eta), x_true)
+    return _run_fixed_step(op, y_delta, cfg, update, objective_of, x_true)
+
+
+def _run_st(op, y_delta, alpha: float, beta: float, cfg: SolverConfig,
+            x_true) -> RecoveryResult:
+    """Soft-thresholding loop on 0.5*||F(x)-y||^2 + alpha*||x||_1 - beta*||x||_2."""
+    def update(x, residual):
+        grad = op.jacobian_adjoint_apply(x, residual)
+        if beta != 0.0:
+            norm_x = np.linalg.norm(x)
+            if norm_x > 0.0:
+                grad = grad - (beta / norm_x) * x
+        v = x - grad / cfg.L
+        _check_finite(v, "gradient step v")
+        return soft_threshold(v, alpha / cfg.L)
+
+    def objective_of(x, res_norm):
+        return (0.5 * res_norm ** 2 + alpha * float(np.sum(np.abs(x)))
+                - beta * float(np.linalg.norm(x)))
+
+    return _run_fixed_step(op, y_delta, cfg, update, objective_of, x_true)
 
 
 def stl1l2_solve(op, y_delta, alpha: float, beta: float, cfg: SolverConfig,
@@ -403,15 +405,7 @@ def stl1l2_solve(op, y_delta, alpha: float, beta: float, cfg: SolverConfig,
     if not (0.0 <= beta <= alpha):
         raise ParameterError(f"beta must lie in [0, alpha], got beta={beta}, alpha={alpha}")
     _require_fixed_step(cfg, "stl1l2_solve")
-
-    def update(x, residual):
-        return _st_update(op, x, residual, alpha, beta, cfg.L)
-
-    def objective_of(x, res_norm):
-        return (0.5 * res_norm ** 2 + alpha * float(np.sum(np.abs(x)))
-                - beta * float(np.linalg.norm(x)))
-
-    return _run_fixed_step(op, y_delta, cfg, update, objective_of, x_true)
+    return _run_st(op, y_delta, alpha, beta, cfg, x_true)
 
 
 def ista_solve(op, y_delta, alpha: float, cfg: SolverConfig, x_true=None) -> RecoveryResult:
@@ -423,11 +417,4 @@ def ista_solve(op, y_delta, alpha: float, cfg: SolverConfig, x_true=None) -> Rec
     if not (alpha >= 0 and np.isfinite(alpha)):
         raise ParameterError(f"alpha must be nonnegative and finite, got {alpha}")
     _require_fixed_step(cfg, "ista_solve")
-
-    def update(x, residual):
-        return _st_update(op, x, residual, alpha, 0.0, cfg.L)
-
-    def objective_of(x, res_norm):
-        return 0.5 * res_norm ** 2 + alpha * float(np.sum(np.abs(x)))
-
-    return _run_fixed_step(op, y_delta, cfg, update, objective_of, x_true)
+    return _run_st(op, y_delta, alpha, 0.0, cfg, x_true)

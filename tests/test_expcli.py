@@ -237,6 +237,9 @@ def test_cli_exit_code_bad_inputs(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["run", "custom", "--alpha", "granular"]) == 2
     assert main(["run", "custom", "--m", "400"]) == 2
+    # the rate study is its own subcommand, not a run preset
+    assert main(["run", "rate"]) == 2
+    assert "choose test1..test5 or custom" in capsys.readouterr().err
 
 
 def test_cli_exit_code_overflow(tmp_path, capsys):
@@ -282,6 +285,25 @@ def test_cli_rate_study(tmp_path, capsys):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "delta,alpha,median_error"
     assert len(lines) == 4
+
+
+def test_cli_zero_flags_are_not_defaults(tmp_path, capsys):
+    # a zero the caller typed must reach validation, not fall back to a default
+    rate = ["rate", "--n", "20", "--m", "10", "--sparsity", "2", "--seeds", "3",
+            "--deltas", "1e-3,1e-2,1e-1", "--max-iters", "50",
+            "--out", str(tmp_path / "rate.csv")]
+    assert main(rate + ["--kappa", "0"]) == 2
+    assert "kappa" in capsys.readouterr().err
+    assert main(rate + ["--max-iters", "0"]) == 2
+    assert "max_iters" in capsys.readouterr().err
+    assert main(["jac-check", "--n", "20", "--m", "8", "--scale", "0"]) == 2
+    assert "scale" in capsys.readouterr().err
+    # --eta and --L of the rate study take one number, not a list
+    for flag in ("--eta", "--L"):
+        with pytest.raises(SystemExit) as exc:
+            main(rate + [flag, "0.5,1"])
+        assert exc.value.code == 2
+    assert not (tmp_path / "rate.csv").exists()
 
 
 def test_cli_prox_and_jacobian_checks(capsys):

@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 from hvsparse.core import NumericalOverflowError, ParameterError
-from hvsparse.prox import (ProxSolution, half_variation, lambda_weights,
-                           mu_star, mu_star_bisect, prox_sql1, prox_sql1_bisect,
-                           psi, soft_threshold)
+from hvsparse.prox import (ProxSolution, lambda_weights, mu_star,
+                           mu_star_bisect, prox_sql1, prox_sql1_bisect, psi,
+                           soft_threshold)
 
 
 def sq_l1_objective(u, x, alpha):
@@ -111,13 +111,11 @@ def test_prox_zero_input():
     sol = prox_sql1(np.zeros(5), 0.3)
     assert isinstance(sol, ProxSolution)
     assert np.array_equal(sol.p, np.zeros(5))
-    assert np.array_equal(half_variation(np.zeros(5), 0.3), np.zeros(5))
 
 
 def test_prox_one_dimensional():
     # minimizer of 0.5*(u-3)^2 + 0.5*u^2
     assert np.array_equal(prox_sql1(np.array([3.0]), 0.5).p, [1.5])
-    assert np.array_equal(half_variation(np.array([3.0]), 0.5), [1.5])
 
 
 def test_prox_frozen_example():
@@ -211,14 +209,6 @@ def test_prox_shrinks_componentwise():
         p = prox_sql1(x, float(10 ** rng.uniform(-3, 1))).p
         assert np.all(np.abs(p) <= np.abs(x) + 1e-15)
         assert np.all((p == 0) | (np.sign(p) == np.sign(x)))
-
-
-def test_half_variation_is_prox():
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        x = rng.uniform(-5, 5, 5)
-        alpha = float(10 ** rng.uniform(-3, 1))
-        assert np.array_equal(half_variation(x, alpha), prox_sql1(x, alpha).p)
 
 
 def test_prox_bisect_route_agrees():

@@ -27,8 +27,6 @@ def test_solver_config_validation():
     for tol in (0.0, -1e-5, float("inf")):
         with pytest.raises(ParameterError):
             SolverConfig(L=1.0, tol=tol)
-    with pytest.raises(ParameterError):
-        SolverConfig(L=1.0, trace_stride=0)
 
 
 def test_solver_config_rejects_unknown_step():
@@ -290,15 +288,6 @@ def test_trace_disabled_stays_empty():
     assert res.trace.step_norm == []
 
 
-def test_trace_stride_keeps_first_and_last():
-    op = MatrixOperator(np.eye(2))
-    cfg = SolverConfig(L=1.0, max_iters=50, tol=1e-8, trace_stride=7)
-    res = ista_solve(op, np.array([1.0, 0.0]), 0.3, cfg)
-    # converges at k = 2: stride skips k = 1, the converged step is kept
-    assert res.trace.iteration == [0, 2]
-    assert np.isnan(res.trace.step_norm[0])
-
-
 def test_trace_full_stride_one():
     op = MatrixOperator(np.eye(2))
     cfg = SolverConfig(L=2.0, max_iters=2000, tol=1e-10)
@@ -308,6 +297,26 @@ def test_trace_full_stride_one():
     assert res.trace.iteration[0] == 0
     assert res.trace.iteration[-1] == res.iterations
     assert res.trace.step_norm[-1] < cfg.tol
+
+
+def test_compat_fixed_trace_records_descended_objective():
+    # L = 2||A||^2 makes the fixed compat step a descent step on
+    # 0.5||Ax-y||^2 + alpha*(L||x||_1^2 - eta||x||^2), so its trace must not rise
+    a, x_true = gaussian_instance(20, 10, 3, 0.2, np.random.SeedSequence((3, 0)))
+    op = MatrixOperator(a)
+    y = add_noise_db(op.apply(x_true), 30.0, np.random.SeedSequence((3, 1))).y_delta
+    alpha, eta = 1e-2, 1.0
+    L = 2.0 * float(np.linalg.norm(a, 2)) ** 2
+    cfg = SolverConfig(L=L, max_iters=5000, tol=1e-10, x0=0.01 * np.ones(20),
+                       compat_alpha_mode=True)
+    res = hv_solve(op, y, alpha, eta, cfg)
+    assert res.termination == TERMINATION_CONVERGED
+    obj = np.array(res.trace.objective)
+    assert np.max(np.diff(obj)) <= 1e-12 * (1.0 + np.max(np.abs(obj)))
+    x = res.x_star
+    stated = (0.5 * float(np.sum((a @ x - y) ** 2))
+              + alpha * (L * float(np.sum(np.abs(x))) ** 2 - eta * float(x @ x)))
+    assert obj[-1] == pytest.approx(stated, rel=1e-12)
     # no reference signal given, so the error channels stay empty
     assert res.trace.snr_db == []
     assert res.trace.rel_error == []
