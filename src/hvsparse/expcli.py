@@ -466,18 +466,27 @@ def prox_battery(count: int = 1000, dim_max: int = 10, amp: float = 5.0,
                            max_optimality_violation=worst_opt, passed=passed)
 
 
+def _parse_list(text: str, convert, what: str) -> tuple:
+    try:
+        values = tuple(convert(tok) for tok in text.split(",") if tok != "")
+    except ValueError:
+        values = ()
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return values
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok != "")
+    return _parse_list(text, float, "comma-separated numbers")
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok != "")
+    return _parse_list(text, int, "comma-separated integers")
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
-    if "," in text:
-        return _parse_int_list(text)
-    return tuple(range(int(text)))
+    seeds = _parse_list(text, int, "a seed count or a comma-separated seed list")
+    return seeds if "," in text else tuple(range(seeds[0]))
 
 
 def _parse_name_list(text: str) -> tuple[str, ...]:
@@ -528,14 +537,15 @@ def _load_config_spec(path: str) -> ExperimentSpec:
     unknown = set(raw) - known
     if unknown:
         raise ParameterError(f"config {path} has unknown keys {sorted(unknown)}")
-    converted = {}
-    for key, value in raw.items():
-        if key.endswith("_list") or key in ("seeds", "solvers"):
-            value = tuple(value)
-        if key == "alpha_per_level":
-            value = {float(k): float(v) for k, v in value.items()}
-        converted[key] = value
-    return replace(spec, **converted)
+    try:
+        for key, value in raw.items():
+            if key.endswith("_list") or key in ("seeds", "solvers"):
+                raw[key] = tuple(value)
+            if key == "alpha_per_level":
+                raw[key] = {float(k): float(v) for k, v in value.items()}
+        return replace(spec, **raw)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParameterError(f"config {path}: {exc}") from None
 
 
 def _resolve_spec(args) -> ExperimentSpec:
@@ -574,15 +584,19 @@ def _cmd_compare(args) -> int:
     curves = {solver: curve for (seed, solver), curve in output.curves.items()
               if seed == first_seed}
     svg_path = args.svg or f"{spec.preset}_rerror.svg"
-    emit_svg(curves, svg_path)
+    drawn = any(curves.values())  # False when every solve of the first seed diverged
+    if drawn:
+        emit_svg(curves, svg_path)
     _print_summary(output.rows)
-    print(f"wrote {out} ({len(output.rows)} rows) and {svg_path}")
+    print(f"wrote {out} ({len(output.rows)} rows)"
+          + (f" and {svg_path}" if drawn else "; no curve to plot, no SVG"))
     return _exit_code_for(output.rows)
 
 
 def _cmd_rate(args) -> int:
     family = InstanceFamily(n=args.n, m=args.m, s=args.sparsity, scale=args.scale)
-    cfg = SolverConfig(L=args.L, max_iters=args.max_iters, tol=args.tol)
+    cfg = SolverConfig(L=args.L, max_iters=args.max_iters, tol=args.tol,
+                       record_trace=False)
     report = rate_study(family, args.deltas, args.eta, args.q, args.kappa, args.seeds, cfg)
     for delta, alpha, err in zip(report.deltas, report.alphas, report.median_errors):
         print(f"delta={delta:.3e} alpha={alpha:.3e} median error={err:.3e}")

@@ -5,14 +5,14 @@ as the smooth part and g(x) = alpha*||x||_1^2 as the convex part, taking
 
     x_next = prox(x + (2*alpha*eta/L)*x - (1/L)*F'(x)^T (F(x) - y_delta))
 
-with the squared-l1 prox at effective weight alpha/L (or literal alpha in
-compatibility mode, see SolverConfig). Two soft-thresholding baselines share
-the same loop and one soft-thresholding body: l1-minus-l2 (stl1l2_solve, a
-reconstruction of the cited iteration: the beta-term gradient -beta*x/||x||
-is skipped at x = 0) and plain l1 (ista_solve, the same body at beta = 0).
-The trace of every loop records the objective its step descends; for
-hv_solve in compatibility mode that is the objective with the squared-l1
-term weighted alpha*L (see SolverConfig.step).
+with the squared-l1 prox at weight alpha/L, or alpha in compatibility mode
+(see SolverConfig); hv_solve picks that weight once and builds its one step
+and one objective from it. Two soft-thresholding baselines share the same
+loop and one soft-thresholding body: l1-minus-l2 (stl1l2_solve, a
+reconstruction of the cited iteration: the beta-term gradient
+-beta*x/||x|| is skipped at x = 0) and plain l1 (ista_solve, the same body
+at beta = 0). The trace of every loop records the objective its step
+descends.
 
 All solvers stop when the l2 distance between adjacent iterates drops below
 ``tol`` or after ``max_iters`` steps. ``hv_solve`` also offers an opt-in
@@ -32,6 +32,7 @@ import numpy as np
 from .core import MAGNITUDE_LIMIT as DIVERGENCE_LIMIT
 from .core import NumericalOverflowError, ParameterError, as_vector, relative_error, snr_db
 from .prox import prox_sql1, soft_threshold
+from .regfunc import RegParams
 
 TERMINATION_CONVERGED = "converged_by_tol"
 TERMINATION_MAX_ITERS = "max_iters_reached"
@@ -64,8 +65,9 @@ class SolverConfig:
     x0 : ndarray or None
         Initial iterate; None means the zero vector.
     compat_alpha_mode : bool
-        When True the prox uses weight alpha instead of alpha/L, matching
-        a literal reading of the shrinkage map with the unscaled penalty.
+        When True the hv prox uses weight alpha instead of alpha/L, a
+        literal reading of the shrinkage map: the solve at (alpha, eta) is
+        then the default one at (alpha*L, eta/L), up to rounding.
     record_trace : bool
         Keep per-iteration history: the initial iterate and every step.
     step : str
@@ -79,12 +81,10 @@ class SolverConfig:
         raise the objective is replaced by a plain prox-gradient step from
         the current iterate and momentum restarts; the quadratic bound makes
         that plain step a descent step, so the objective does not increase.
-        The objective descended is, in the default mode,
-        0.5*||F(x)-y||^2 + alpha*(||x||_1^2 - eta*||x||_2^2) with prox
-        weight alpha/L_k; in compat mode it is
-        0.5*||F(x)-y||^2 + alpha*(L*||x||_1^2 - eta*||x||_2^2) with prox
-        weight alpha*L/L_k, which is alpha at L_k = L. Under either rule
-        the trace records that objective, the one the fixed step at L
+        With prox weight w (alpha/L, or alpha in compat mode) the step at
+        L_k takes the prox at w*L/L_k and the objective descended is
+        0.5*||F(x)-y||^2 + w*L*||x||_1^2 - alpha*eta*||x||_2^2. Under either
+        rule the trace records that objective, the one the fixed step at L
         descends as well.
     """
 
@@ -153,40 +153,34 @@ def _check_finite(v: np.ndarray, what: str) -> np.ndarray:
     return v
 
 
-def _hv_prox_step(x, grad, alpha, eta, L, alpha_eff):
-    """prox at weight alpha_eff of the step 1/L along -(grad - 2*alpha*eta*x)."""
-    v = x + (2.0 * alpha * eta / L) * x - grad / L
-    _check_finite(v, "gradient step v")
-    return prox_sql1(v, alpha_eff).p
+def _hv_maps(alpha, eta, L, weight):
+    """Return hv_solve's step(x, grad, L_k), a step 1/L_k with the prox at
+    weight*(L/L_k), and objective_of(x, res_norm), the objective it descends."""
+    def step(x, grad, L_k):
+        v = x + (2.0 * alpha * eta / L_k) * x - grad / L_k
+        _check_finite(v, "gradient step v")
+        return prox_sql1(v, weight * (L / L_k)).p
+
+    def objective_of(x, res_norm):
+        norm1 = float(np.sum(np.abs(x)))
+        return 0.5 * res_norm ** 2 + (weight * L) * norm1 * norm1 - alpha * eta * float(x @ x)
+
+    return step, objective_of
 
 
-def _hv_update(op, x, residual, alpha, eta, L, compat):
-    grad = op.jacobian_adjoint_apply(x, residual)
-    return _hv_prox_step(x, grad, alpha, eta, L, alpha if compat else alpha / L)
-
-
-def hv_step(op, x, y_delta, alpha: float, eta: float, L: float,
-            compat: bool = False) -> np.ndarray:
-    """One proximal-gradient step of the main solver from the point x."""
+def hv_step(op, x, y_delta, alpha: float, eta: float, L: float) -> np.ndarray:
+    """One proximal-gradient step of the main solver (prox weight alpha/L) from x."""
     x = as_vector(x, "x")
     residual = op.apply(x) - as_vector(y_delta, "y_delta")
     _check_finite(residual, "residual F(x) - y_delta")
-    return _hv_update(op, x, residual, alpha, eta, L, compat)
+    step, _ = _hv_maps(alpha, eta, L, alpha / L)
+    return step(x, op.jacobian_adjoint_apply(x, residual), L)
 
 
-def stationarity_residual(op, x, y_delta, alpha: float, eta: float, L: float,
-                          compat: bool = False) -> float:
-    """Gradient-mapping norm L*||x - step(x)||; zero exactly at stationary x."""
+def stationarity_residual(op, x, y_delta, alpha: float, eta: float, L: float) -> float:
+    """Gradient-mapping norm L*||x - hv_step(x)||; zero exactly at stationary x."""
     x = as_vector(x, "x")
-    return float(L * np.linalg.norm(x - hv_step(op, x, y_delta, alpha, eta, L, compat)))
-
-
-def _hv_objective(alpha, eta, l1_scale):
-    """objective_of(x, res_norm) for 0.5*res^2 + alpha*(l1_scale*||x||_1^2 - eta*||x||^2)."""
-    def objective_of(x, res_norm):
-        norm1 = float(np.sum(np.abs(x)))
-        return 0.5 * res_norm ** 2 + alpha * (l1_scale * norm1 * norm1 - eta * float(x @ x))
-    return objective_of
+    return float(L * np.linalg.norm(x - hv_step(op, x, y_delta, alpha, eta, L)))
 
 
 def _start(op, y_delta, cfg: SolverConfig, x_true):
@@ -218,9 +212,9 @@ def _recorder(trace: IterateTrace, x_true):
     return record
 
 
-def _run_fixed_step(op, y_delta, cfg: SolverConfig, update, objective_of,
+def _run_fixed_step(op, y_delta, cfg: SolverConfig, step, objective_of,
                     x_true) -> RecoveryResult:
-    """Shared solver loop: iterate ``update`` until tol or max_iters."""
+    """Shared solver loop: take ``step(x, grad, cfg.L)`` until tol or max_iters."""
     y_delta, x, x_true = _start(op, y_delta, cfg, x_true)
     trace = IterateTrace()
     record = _recorder(trace, x_true)
@@ -233,34 +227,32 @@ def _run_fixed_step(op, y_delta, cfg: SolverConfig, update, objective_of,
     iterations = 0
     termination = TERMINATION_MAX_ITERS
     for k in range(1, cfg.max_iters + 1):
-        x_new = update(x, residual)
-        step = float(np.linalg.norm(x_new - x))
+        x_new = step(x, op.jacobian_adjoint_apply(x, residual), cfg.L)
+        step_norm = float(np.linalg.norm(x_new - x))
         x = x_new
         residual = _check_finite(op.apply(x) - y_delta, "residual F(x) - y_delta")
         iterations = k
-        converged = step < cfg.tol
+        converged = step_norm < cfg.tol
         if cfg.record_trace:
             res_norm = float(np.linalg.norm(residual))
-            record(k, x, objective_of(x, res_norm), res_norm, step)
+            record(k, x, objective_of(x, res_norm), res_norm, step_norm)
         if converged:
             termination = TERMINATION_CONVERGED
             break
 
-    final_residual = float(np.linalg.norm(residual))
-    stationarity = float(cfg.L * np.linalg.norm(x - update(x, residual)))
+    x_next = step(x, op.jacobian_adjoint_apply(x, residual), cfg.L)
     return RecoveryResult(x_star=x, iterations=iterations, termination=termination,
-                          trace=trace, final_residual=final_residual,
-                          stationarity=stationarity)
+                          trace=trace, final_residual=float(np.linalg.norm(residual)),
+                          stationarity=float(cfg.L * np.linalg.norm(x - x_next)))
 
 
-def _run_accelerated(op, y_delta, alpha, eta, cfg: SolverConfig, objective_of,
-                     x_true) -> RecoveryResult:
+def _run_accelerated(op, y_delta, alpha, eta, cfg: SolverConfig, step,
+                     objective_of, x_true) -> RecoveryResult:
     """Monotone accelerated proximal gradient for hv_solve (see SolverConfig.step)."""
     y_delta, x, x_true = _start(op, y_delta, cfg, x_true)
     trace = IterateTrace()
     record = _recorder(trace, x_true)
     L = cfg.L
-    alpha_eff = alpha if cfg.compat_alpha_mode else alpha / L
 
     def residual_of(u):
         return _check_finite(op.apply(u) - y_delta, "residual F(x) - y_delta")
@@ -274,7 +266,7 @@ def _run_accelerated(op, y_delta, alpha, eta, cfg: SolverConfig, objective_of,
         f_w = smooth_of(w, r_w)
         slope = grad_w - (2.0 * alpha * eta) * w
         for _ in range(MAX_BACKTRACKS):
-            z = _hv_prox_step(w, grad_w, alpha, eta, L_k, alpha_eff * (L / L_k))
+            z = step(w, grad_w, L_k)
             r_z = residual_of(z)
             d = z - w
             if smooth_of(z, r_z) <= f_w + float(slope @ d) + 0.5 * L_k * float(d @ d):
@@ -311,15 +303,14 @@ def _run_accelerated(op, y_delta, alpha, eta, cfg: SolverConfig, objective_of,
                 t = 1.0
         if plain:
             z, r_z, res_norm_z, obj_z, L_k = line_search(x, residual, grad, L_k)
-        step = float(np.linalg.norm(z - x))
+        step_norm = float(np.linalg.norm(z - x))
         x_prev, x, residual, res_norm, obj = x, z, r_z, res_norm_z, obj_z
         grad = op.jacobian_adjoint_apply(x, residual)
-        fixed_step = float(np.linalg.norm(
-            x - _hv_prox_step(x, grad, alpha, eta, L, alpha_eff)))
+        fixed_step = float(np.linalg.norm(x - step(x, grad, L)))
         iterations = k
         converged = fixed_step < cfg.tol
         if cfg.record_trace:
-            record(k, x, obj, res_norm, step)
+            record(k, x, obj, res_norm, step_norm)
         if converged:
             termination = TERMINATION_CONVERGED
             break
@@ -351,43 +342,36 @@ def hv_solve(op, y_delta, alpha: float, eta: float, cfg: SolverConfig,
         Concave ratio in [0, 1]; eta = 0 gives the plain squared-l1 endpoint
         kept for sweep parity.
     cfg : SolverConfig
-        Its ``step`` selects the fixed or the monotone accelerated rule.
+        Its ``step`` selects the step rule, ``compat_alpha_mode`` the prox weight.
     x_true : ndarray, optional
         Reference signal; when given, the trace carries SNR and relative
         error per iteration.
     """
-    if not (alpha > 0 and np.isfinite(alpha)):
-        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
-    if not (0.0 <= eta <= 1.0):
-        raise ParameterError(f"eta must lie in [0, 1], got {eta}")
-    objective_of = _hv_objective(alpha, eta, cfg.L if cfg.compat_alpha_mode else 1.0)
+    RegParams(alpha, eta)  # raises ParameterError for an invalid alpha or eta
+    weight = alpha if cfg.compat_alpha_mode else alpha / cfg.L
+    step, objective_of = _hv_maps(alpha, eta, cfg.L, weight)
     if cfg.step == STEP_ACCELERATED:
-        return _run_accelerated(op, y_delta, alpha, eta, cfg, objective_of, x_true)
-
-    def update(x, residual):
-        return _hv_update(op, x, residual, alpha, eta, cfg.L, cfg.compat_alpha_mode)
-
-    return _run_fixed_step(op, y_delta, cfg, update, objective_of, x_true)
+        return _run_accelerated(op, y_delta, alpha, eta, cfg, step, objective_of, x_true)
+    return _run_fixed_step(op, y_delta, cfg, step, objective_of, x_true)
 
 
 def _run_st(op, y_delta, alpha: float, beta: float, cfg: SolverConfig,
             x_true) -> RecoveryResult:
     """Soft-thresholding loop on 0.5*||F(x)-y||^2 + alpha*||x||_1 - beta*||x||_2."""
-    def update(x, residual):
-        grad = op.jacobian_adjoint_apply(x, residual)
+    def step(x, grad, L):
         if beta != 0.0:
             norm_x = np.linalg.norm(x)
             if norm_x > 0.0:
                 grad = grad - (beta / norm_x) * x
-        v = x - grad / cfg.L
+        v = x - grad / L
         _check_finite(v, "gradient step v")
-        return soft_threshold(v, alpha / cfg.L)
+        return soft_threshold(v, alpha / L)
 
     def objective_of(x, res_norm):
         return (0.5 * res_norm ** 2 + alpha * float(np.sum(np.abs(x)))
                 - beta * float(np.linalg.norm(x)))
 
-    return _run_fixed_step(op, y_delta, cfg, update, objective_of, x_true)
+    return _run_fixed_step(op, y_delta, cfg, step, objective_of, x_true)
 
 
 def stl1l2_solve(op, y_delta, alpha: float, beta: float, cfg: SolverConfig,

@@ -13,6 +13,7 @@ import pytest
 from hvsparse.core import add_noise_db, gaussian_instance, snr_db
 from hvsparse.expcli import TEST3_ALPHA_PER_LEVEL
 from hvsparse.operators import PowerCsOperator
+from hvsparse.regfunc import RegParams, objective
 from hvsparse.solvers import (STEP_ACCELERATED, STEP_FIXED, SolverConfig,
                               TERMINATION_CONVERGED, hv_solve, ista_solve)
 
@@ -46,13 +47,10 @@ def bench_config(compat, record_trace=False):
 
 
 def solve_objective(op, x, y_delta, alpha, eta, compat):
-    """The objective a benchmark solve descends; compat mode weighs the
-    squared-l1 term by L (see SolverConfig.step)."""
-    residual = op.apply(x) - y_delta
-    norm1 = float(np.sum(np.abs(x)))
-    l1_scale = BENCH_L if compat else 1.0
-    return 0.5 * float(residual @ residual) + alpha * (
-        l1_scale * norm1 * norm1 - eta * float(x @ x))
+    """The objective a benchmark solve descends; a compat solve at
+    (alpha, eta) descends the default one at (alpha*L, eta/L)."""
+    params = RegParams(alpha * BENCH_L, eta / BENCH_L) if compat else RegParams(alpha, eta)
+    return objective(op, x, y_delta, params)
 
 
 def run_bench_hv(seed, eta, compat, c=2, d=3, level_db=30.0, alpha=BENCH_ALPHA,

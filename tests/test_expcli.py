@@ -250,6 +250,34 @@ def test_cli_exit_code_overflow(tmp_path, capsys):
     assert out.exists()
 
 
+@pytest.mark.parametrize("argv", [["run", "custom", "--c", "x"],
+                                  ["run", "custom", "--seeds", "a"],
+                                  ["rate", "--deltas", "1,x"]])
+def test_cli_malformed_list_flags_exit_plainly(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected" in err
+    assert "_parse_" not in err
+
+
+def test_cli_compare_every_solve_overflowing(tmp_path, capsys):
+    out = tmp_path / "cmp.csv"
+    svg = tmp_path / "cmp.svg"
+    argv = ["compare", "custom", "--n", "20", "--m", "8", "--sparsity", "3",
+            "--seeds", "1", "--alpha", "1e-3", "--c", "1", "--d", "1",
+            "--L", "0.001", "--max-iters", "200", "--out", str(out), "--svg", str(svg)]
+    # every solver of the plotted seed diverges, so there is no curve to draw
+    assert main(argv) == 3
+    stdout = capsys.readouterr().out
+    assert stdout.count("median SNR nan dB") == 3
+    assert "no curve to plot" in stdout
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[-1] for line in lines[1:]] == ["failed_overflow"] * 3
+    assert not svg.exists()
+
+
 def test_cli_exit_code_unwritable_path(capsys):
     argv = ["run", "custom", "--n", "20", "--m", "8", "--sparsity", "3",
             "--seeds", "1", "--max-iters", "20",
@@ -344,6 +372,16 @@ def test_config_file_loading(tmp_path):
     alist.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ParameterError, match="JSON object"):
         _load_config_spec(str(alist))
+
+
+@pytest.mark.parametrize("cfg", [{"seeds": 5}, {"eta_list": 1.0}, {"n": "200"},
+                                 {"alpha_mode": "per_level",
+                                  "alpha_per_level": {"10": "x"}}])
+def test_cli_config_malformed_values(tmp_path, capsys, cfg):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config {path}")
 
 
 def test_cli_config_with_flag_override(tmp_path):

@@ -9,7 +9,8 @@ from hvsparse.operators import (MatrixOperator, PowerCsOperator,
 from hvsparse.prox import prox_sql1
 from hvsparse.regfunc import RegParams, objective
 from hvsparse.solvers import (DIVERGENCE_LIMIT, IterateTrace, RecoveryResult,
-                              STEP_ACCELERATED, STEP_FIXED, SolverConfig,
+                              STEP_ACCELERATED, STEP_FIXED, STEP_RULES,
+                              SolverConfig,
                               TERMINATION_CONVERGED, TERMINATION_MAX_ITERS,
                               hv_solve, hv_step, ista_solve,
                               stationarity_residual, stl1l2_solve)
@@ -49,8 +50,18 @@ def test_hv_step_reduces_to_prox_at_data():
     alpha, L = 0.3, 2.5
     assert np.array_equal(hv_step(op, y, y, alpha, 0.0, L),
                           prox_sql1(y, alpha / L).p)
-    assert np.array_equal(hv_step(op, y, y, alpha, 0.0, L, compat=True),
-                          prox_sql1(y, alpha).p)
+
+
+def test_compat_one_step_solve_is_prox_at_alpha():
+    # the same pure prox call, taken by one compat-mode solve: weight alpha
+    rng = np.random.default_rng(31)
+    y = rng.normal(size=4)
+    op = MatrixOperator(np.eye(4))
+    alpha, L = 0.3, 2.5
+    cfg = SolverConfig(L=L, max_iters=1, x0=y, compat_alpha_mode=True)
+    res = hv_solve(op, y, alpha, 0.0, cfg)
+    assert res.iterations == 1
+    assert np.array_equal(res.x_star, prox_sql1(y, alpha).p)
 
 
 def test_hv_solve_one_dimensional_eta_one():
@@ -378,6 +389,25 @@ def test_accelerated_rule_converges_where_fixed_step_cycles():
     assert acc.stationarity <= cfg.tol * cfg.L
     assert np.all(np.diff(acc.trace.objective) <= 0.0)
     assert acc.trace.iteration[-1] == acc.iterations
+
+
+@pytest.mark.parametrize("step", STEP_RULES)
+def test_compat_solve_is_default_solve_at_mapped_parameters(step):
+    # compat (alpha, eta) descends the default objective at (alpha*L, eta/L);
+    # the two differ only by the rounding of (alpha*L)/L against alpha. The
+    # fixed rule follows the same path wherever tried; the accelerated rule's
+    # restart and line-search tests compare objectives that differ at that
+    # rounding, so on other (alpha, L) of this instance its paths can split
+    op, y, x0, _ = _descent_instance()
+    alpha, eta, L = 7.4e-4, 1.0, 3.0
+    assert (alpha * L) / L != alpha
+    common = dict(L=L, max_iters=2000, tol=1e-9, x0=x0, step=step)
+    compat = hv_solve(op, y, alpha, eta, SolverConfig(compat_alpha_mode=True, **common))
+    mapped = hv_solve(op, y, alpha * L, eta / L, SolverConfig(**common))
+    assert compat.termination == mapped.termination == TERMINATION_CONVERGED
+    assert compat.iterations == mapped.iterations
+    gap = np.linalg.norm(compat.x_star - mapped.x_star)
+    assert gap <= 1e-12 * np.linalg.norm(mapped.x_star)
 
 
 def test_accelerated_rule_identity_returns_prox():
