@@ -9,9 +9,9 @@ choice), expcli (experiment harness and CLI).
 from .core import (DegenerateReferenceError, DegenerateSignalError, NoisyData,
                    NumericalOverflowError, ParameterError, add_noise_db,
                    add_noise_norm, gaussian_instance, relative_error, snr_db)
-from .operators import (JacobianCheckReport, MatrixOperator, NonlinearOperator,
-                        PowerCsOperator, estimate_smooth_lipschitz,
-                        fd_jacobian_check)
+from .operators import (JacobianCheckReport, Linearization, MatrixOperator,
+                        NonlinearOperator, PowerCsOperator,
+                        estimate_smooth_lipschitz, fd_jacobian_check)
 from .prox import (ProxSolution, lambda_weights, mu_star, mu_star_bisect,
                    prox_sql1, prox_sql1_bisect, psi, soft_threshold)
 from .regfunc import RegParams, objective, reg_value, smooth_grad
@@ -27,7 +27,7 @@ __all__ = [
     "DegenerateReferenceError", "DegenerateSignalError", "NoisyData",
     "NumericalOverflowError", "ParameterError", "add_noise_db", "add_noise_norm",
     "gaussian_instance", "relative_error", "snr_db",
-    "JacobianCheckReport", "MatrixOperator", "NonlinearOperator",
+    "JacobianCheckReport", "Linearization", "MatrixOperator", "NonlinearOperator",
     "PowerCsOperator", "estimate_smooth_lipschitz", "fd_jacobian_check",
     "ProxSolution", "lambda_weights", "mu_star", "mu_star_bisect",
     "prox_sql1", "prox_sql1_bisect", "psi", "soft_threshold",

@@ -38,11 +38,13 @@ class NumericalOverflowError(ArithmeticError):
     """
 
 
-def as_vector(x, name: str = "x") -> np.ndarray:
-    """Validate and return a finite 1-d float64 array."""
+def as_vector(x, name: str = "x", size: int | None = None) -> np.ndarray:
+    """Validate and return a finite 1-d float64 array, of length ``size`` if given."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ParameterError(f"{name} must be a nonempty 1-d array, got shape {arr.shape}")
+    if size is not None and arr.size != size:
+        raise ParameterError(f"{name} has length {arr.size}, expected {size}")
     if not np.all(np.isfinite(arr)):
         raise ParameterError(f"{name} contains non-finite entries")
     return arr

@@ -25,6 +25,7 @@ import itertools
 import json
 import sys
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -523,6 +524,23 @@ def _parse_alpha(text: str) -> dict:
     return {"alpha_mode": "explicit", "alpha": value}
 
 
+def _config_value(key: str, value, hint):
+    """A JSON config value as the spec field type ``hint``; TypeError if it is not one."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if type(None) in args:  # an optional field, X | None
+        return None if value is None else _config_value(key, value, args[0])
+    if origin is tuple and type(value) is list:
+        return tuple(_config_value(key, v, args[0]) for v in value)
+    if origin is dict and type(value) is dict:
+        return {float(k): _config_value(key, v, args[1]) for k, v in value.items()}
+    if type(value) in (int, float) and hint in (int, float) and value == hint(value):
+        value = hint(value)  # integral floats for int fields, ints for float fields
+    if type(value) is not (origin or hint):
+        wanted = {tuple: "a list", dict: "an object"}.get(origin, hint.__name__)
+        raise TypeError(f"{key} must be {wanted}, got {value!r}")
+    return value
+
+
 def _load_config_spec(path: str) -> ExperimentSpec:
     """Build a spec from a JSON mapping of spec fields (preset optional)."""
     with open(path, encoding="utf-8") as fh:
@@ -537,14 +555,11 @@ def _load_config_spec(path: str) -> ExperimentSpec:
     unknown = set(raw) - known
     if unknown:
         raise ParameterError(f"config {path} has unknown keys {sorted(unknown)}")
+    hints = typing.get_type_hints(ExperimentSpec)
     try:
-        for key, value in raw.items():
-            if key.endswith("_list") or key in ("seeds", "solvers"):
-                raw[key] = tuple(value)
-            if key == "alpha_per_level":
-                raw[key] = {float(k): float(v) for k, v in value.items()}
-        return replace(spec, **raw)
-    except (AttributeError, TypeError, ValueError) as exc:
+        return replace(spec, **{key: _config_value(key, value, hints[key])
+                                for key, value in raw.items()})
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"config {path}: {exc}") from None
 
 
@@ -632,12 +647,13 @@ def _cmd_jac_check(args) -> int:
     x = 0.5 * x_true + 0.01 * rng.standard_normal(args.n)
     report = fd_jacobian_check(op, x, h=args.h, tol=args.tol_check,
                                num_directions=args.directions, seed=args.seed + 2)
+    lin = op.linearize(x)
     worst_adj = 0.0
     for _ in range(args.directions):
         u = rng.standard_normal(args.n)
         r = rng.standard_normal(args.m)
-        lhs = float(op.jacobian_apply(x, u) @ r)
-        rhs = float(u @ op.jacobian_adjoint_apply(x, r))
+        lhs = float(lin.jvp(u) @ r)
+        rhs = float(u @ lin.vjp(r))
         worst_adj = max(worst_adj, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
     print(f"jacobian check for c={args.c_exp}, d={args.d_exp}, n={args.n}, m={args.m}:")
     print(f"  max relative finite-difference gap : {report.max_rel_deviation:.3e} "

@@ -3,8 +3,10 @@
 The nonlinear model is F(x) = z + z^c componentwise with z = A(x + x^d),
 where A is a dense m-by-n matrix and c, d are positive integers. Its
 Jacobian factors as (I + diag(c*z^(c-1))) A (I + diag(d*x^(d-1))), and the
-adjoint reverses that sandwich. Integer powers are evaluated by repeated
-multiplication so signs of negative bases survive exactly.
+adjoint reverses that sandwich. ``linearize(x)`` returns F(x) with these
+factors at x, so one evaluation serves F, F' and F'^T at a point. Integer
+powers are evaluated by repeated multiplication so signs of negative bases
+survive exactly.
 """
 
 from __future__ import annotations
@@ -20,11 +22,31 @@ from .core import NumericalOverflowError, ParameterError, as_matrix, as_vector
 from .regfunc import smooth_grad
 
 
+@dataclass(frozen=True)
+class Linearization:
+    """F(x) and F'(x) = diag(outer) A diag(inner) at one x (diagonals 1.0 if linear)."""
+
+    value: np.ndarray
+    a: np.ndarray
+    inner: np.ndarray | float
+    outer: np.ndarray | float
+
+    def jvp(self, u) -> np.ndarray:
+        """F'(x) u."""
+        return self.outer * (self.a @ (self.inner * u))
+
+    def vjp(self, r) -> np.ndarray:
+        """F'(x)^T r."""
+        return self.inner * (self.a.T @ (self.outer * r))
+
+
 class NonlinearOperator(ABC):
     """Evaluation interface shared by all forward models.
 
-    Implementations must be deterministic, side-effect free, and satisfy
-    the adjoint identity <J(x)u, r> = <u, J(x)^T r>.
+    A model implements ``linearize``; ``apply`` and both Jacobian actions are
+    views of it, so each one evaluates F(x). Implementations must be
+    deterministic, side-effect free, and satisfy the adjoint identity
+    <J(x)u, r> = <u, J(x)^T r>.
     """
 
     @property
@@ -36,30 +58,20 @@ class NonlinearOperator(ABC):
     def output_dim(self) -> int: ...
 
     @abstractmethod
+    def linearize(self, x) -> Linearization:
+        """Validate x once; return F(x) with its Jacobian at x."""
+
     def apply(self, x) -> np.ndarray:
         """Evaluate F(x)."""
+        return self.linearize(x).value
 
-    @abstractmethod
     def jacobian_apply(self, x, u) -> np.ndarray:
         """Evaluate F'(x) u."""
+        return self.linearize(x).jvp(as_vector(u, "u", self.input_dim))
 
-    @abstractmethod
     def jacobian_adjoint_apply(self, x, r) -> np.ndarray:
         """Evaluate F'(x)^T r."""
-
-    def _check_input(self, x, name: str = "x") -> np.ndarray:
-        x = as_vector(x, name)
-        if x.size != self.input_dim:
-            raise ParameterError(
-                f"{name} has length {x.size}, operator expects {self.input_dim}")
-        return x
-
-    def _check_output(self, r, name: str = "r") -> np.ndarray:
-        r = as_vector(r, name)
-        if r.size != self.output_dim:
-            raise ParameterError(
-                f"{name} has length {r.size}, operator expects {self.output_dim}")
-        return r
+        return self.linearize(x).vjp(as_vector(r, "r", self.output_dim))
 
 
 def _int_power(v: np.ndarray, k: int, name: str) -> np.ndarray:
@@ -92,16 +104,8 @@ class MatrixOperator(NonlinearOperator):
     def output_dim(self) -> int:
         return self.a.shape[0]
 
-    def apply(self, x) -> np.ndarray:
-        return self.a @ self._check_input(x)
-
-    def jacobian_apply(self, x, u) -> np.ndarray:
-        self._check_input(x)
-        return self.a @ self._check_input(u, "u")
-
-    def jacobian_adjoint_apply(self, x, r) -> np.ndarray:
-        self._check_input(x)
-        return self.a.T @ self._check_output(r)
+    def linearize(self, x) -> Linearization:
+        return Linearization(self.a @ as_vector(x, "x", self.input_dim), self.a, 1.0, 1.0)
 
 
 class PowerCsOperator(NonlinearOperator):
@@ -132,29 +136,13 @@ class PowerCsOperator(NonlinearOperator):
     def output_dim(self) -> int:
         return self.a.shape[0]
 
-    def _inner(self, x: np.ndarray) -> np.ndarray:
-        return self.a @ (x + _int_power(x, self.d, "x"))
-
-    def apply(self, x) -> np.ndarray:
-        x = self._check_input(x)
-        z = self._inner(x)
-        return z + _int_power(z, self.c, "z")
-
-    def jacobian_apply(self, x, u) -> np.ndarray:
-        x = self._check_input(x)
-        u = self._check_input(u, "u")
-        z = self._inner(x)
-        inner_diag = 1.0 + self.d * _int_power(x, self.d - 1, "x")
-        outer_diag = 1.0 + self.c * _int_power(z, self.c - 1, "z")
-        return outer_diag * (self.a @ (inner_diag * u))
-
-    def jacobian_adjoint_apply(self, x, r) -> np.ndarray:
-        x = self._check_input(x)
-        r = self._check_output(r)
-        z = self._inner(x)
-        inner_diag = 1.0 + self.d * _int_power(x, self.d - 1, "x")
-        outer_diag = 1.0 + self.c * _int_power(z, self.c - 1, "z")
-        return inner_diag * (self.a.T @ (outer_diag * r))
+    def linearize(self, x) -> Linearization:
+        x = as_vector(x, "x", self.input_dim)
+        z = self.a @ (x + _int_power(x, self.d, "x"))
+        value = z + _int_power(z, self.c, "z")
+        inner = 1.0 + self.d * _int_power(x, self.d - 1, "x")
+        outer = 1.0 + self.c * _int_power(z, self.c - 1, "z")
+        return Linearization(value, self.a, inner, outer)
 
 
 @dataclass(frozen=True)

@@ -35,15 +35,12 @@ class ProxSolution:
         The proximal point.
     mu_star : float
         Positive root of psi, or 0.0 by convention when x = 0.
-    lam : ndarray
-        Weights lambda_i >= 0; they sum to 1 when x != 0.
     threshold : float
         The equivalent soft threshold 2*sqrt(alpha_eff*mu_star).
     """
 
     p: np.ndarray
     mu_star: float
-    lam: np.ndarray
     threshold: float
 
 
@@ -140,11 +137,6 @@ def mu_star_bisect(x, alpha_eff: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _solution_for_zero(n: int) -> ProxSolution:
-    zero = np.zeros(n)
-    return ProxSolution(p=zero, mu_star=0.0, lam=np.zeros(n), threshold=0.0)
-
-
 def prox_sql1(x, alpha_eff: float) -> ProxSolution:
     """Proximal point of alpha_eff*||.||_1^2 with its certificate.
 
@@ -155,12 +147,11 @@ def prox_sql1(x, alpha_eff: float) -> ProxSolution:
     x = as_vector(x, "x")
     alpha_eff = _check_alpha(alpha_eff)
     if not np.abs(x).any():
-        return _solution_for_zero(x.size)
+        return ProxSolution(p=np.zeros(x.size), mu_star=0.0, threshold=0.0)
     mu = mu_star(x, alpha_eff)
     threshold = 2.0 * np.sqrt(alpha_eff * mu)
-    lam = np.maximum(np.sqrt(alpha_eff) * np.abs(x) / np.sqrt(mu) - 2.0 * alpha_eff, 0.0)
     p = soft_threshold(x, threshold)
-    return ProxSolution(p=p, mu_star=mu, lam=lam, threshold=float(threshold))
+    return ProxSolution(p=p, mu_star=mu, threshold=float(threshold))
 
 
 def prox_sql1_bisect(x, alpha_eff: float) -> np.ndarray:

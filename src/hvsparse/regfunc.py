@@ -54,12 +54,8 @@ def reg_value(x, eta: float) -> float:
 def objective(op, x, y_delta, params: RegParams) -> float:
     """Full objective (1/q)*||F(x) - y_delta||^q + alpha*reg_value(x, eta)."""
     x = as_vector(x, "x")
-    y_delta = as_vector(y_delta, "y_delta")
-    fx = op.apply(x)
-    if y_delta.size != fx.size:
-        raise ParameterError(
-            f"y_delta has length {y_delta.size}, expected {fx.size}")
-    residual = fx - y_delta
+    y_delta = as_vector(y_delta, "y_delta", op.output_dim)
+    residual = op.apply(x) - y_delta
     fidelity = float(np.linalg.norm(residual)) ** params.q / params.q
     return fidelity + params.alpha * reg_value(x, params.eta)
 
@@ -71,9 +67,6 @@ def smooth_grad(op, x, y_delta, alpha: float, eta: float) -> np.ndarray:
     eta-term, which the solvers treat as part of the smooth objective.
     """
     x = as_vector(x, "x")
-    y_delta = as_vector(y_delta, "y_delta")
-    fx = op.apply(x)
-    if y_delta.size != fx.size:
-        raise ParameterError(
-            f"y_delta has length {y_delta.size}, expected {fx.size}")
-    return op.jacobian_adjoint_apply(x, fx - y_delta) - (2.0 * alpha * eta) * x
+    y_delta = as_vector(y_delta, "y_delta", op.output_dim)
+    lin = op.linearize(x)
+    return lin.vjp(lin.value - y_delta) - (2.0 * alpha * eta) * x

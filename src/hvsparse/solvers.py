@@ -168,13 +168,18 @@ def _hv_maps(alpha, eta, L, weight):
     return step, objective_of
 
 
+def _evaluate(op, x, y_delta):
+    """Linearize op at x; return (linearization, finite residual F(x) - y_delta)."""
+    lin = op.linearize(x)
+    return lin, _check_finite(lin.value - y_delta, "residual F(x) - y_delta")
+
+
 def hv_step(op, x, y_delta, alpha: float, eta: float, L: float) -> np.ndarray:
     """One proximal-gradient step of the main solver (prox weight alpha/L) from x."""
     x = as_vector(x, "x")
-    residual = op.apply(x) - as_vector(y_delta, "y_delta")
-    _check_finite(residual, "residual F(x) - y_delta")
+    lin, residual = _evaluate(op, x, as_vector(y_delta, "y_delta", op.output_dim))
     step, _ = _hv_maps(alpha, eta, L, alpha / L)
-    return step(x, op.jacobian_adjoint_apply(x, residual), L)
+    return step(x, lin.vjp(residual), L)
 
 
 def stationarity_residual(op, x, y_delta, alpha: float, eta: float, L: float) -> float:
@@ -185,13 +190,10 @@ def stationarity_residual(op, x, y_delta, alpha: float, eta: float, L: float) ->
 
 def _start(op, y_delta, cfg: SolverConfig, x_true):
     """Validate the solve's inputs; return (y_delta, x0, x_true)."""
-    y_delta = as_vector(y_delta, "y_delta")
-    if y_delta.size != op.output_dim:
-        raise ParameterError(
-            f"y_delta has length {y_delta.size}, operator expects {op.output_dim}")
+    y_delta = as_vector(y_delta, "y_delta", op.output_dim)
     x = np.zeros(op.input_dim) if cfg.x0 is None else cfg.x0
     if x.size != op.input_dim:
-        raise ParameterError(f"x0 has length {x.size}, operator expects {op.input_dim}")
+        raise ParameterError(f"x0 has length {x.size}, expected {op.input_dim}")
     if x_true is not None:
         x_true = as_vector(x_true, "x_true")
     return y_delta, x, x_true
@@ -219,7 +221,7 @@ def _run_fixed_step(op, y_delta, cfg: SolverConfig, step, objective_of,
     trace = IterateTrace()
     record = _recorder(trace, x_true)
 
-    residual = _check_finite(op.apply(x) - y_delta, "residual F(x) - y_delta")
+    lin, residual = _evaluate(op, x, y_delta)
     if cfg.record_trace:
         res_norm = float(np.linalg.norm(residual))
         record(0, x, objective_of(x, res_norm), res_norm, float("nan"))
@@ -227,10 +229,10 @@ def _run_fixed_step(op, y_delta, cfg: SolverConfig, step, objective_of,
     iterations = 0
     termination = TERMINATION_MAX_ITERS
     for k in range(1, cfg.max_iters + 1):
-        x_new = step(x, op.jacobian_adjoint_apply(x, residual), cfg.L)
+        x_new = step(x, lin.vjp(residual), cfg.L)
         step_norm = float(np.linalg.norm(x_new - x))
         x = x_new
-        residual = _check_finite(op.apply(x) - y_delta, "residual F(x) - y_delta")
+        lin, residual = _evaluate(op, x, y_delta)
         iterations = k
         converged = step_norm < cfg.tol
         if cfg.record_trace:
@@ -240,7 +242,7 @@ def _run_fixed_step(op, y_delta, cfg: SolverConfig, step, objective_of,
             termination = TERMINATION_CONVERGED
             break
 
-    x_next = step(x, op.jacobian_adjoint_apply(x, residual), cfg.L)
+    x_next = step(x, lin.vjp(residual), cfg.L)
     return RecoveryResult(x_star=x, iterations=iterations, termination=termination,
                           trace=trace, final_residual=float(np.linalg.norm(residual)),
                           stationarity=float(cfg.L * np.linalg.norm(x - x_next)))
@@ -254,30 +256,27 @@ def _run_accelerated(op, y_delta, alpha, eta, cfg: SolverConfig, step,
     record = _recorder(trace, x_true)
     L = cfg.L
 
-    def residual_of(u):
-        return _check_finite(op.apply(u) - y_delta, "residual F(x) - y_delta")
-
     def smooth_of(u, r):
         return 0.5 * float(r @ r) - alpha * eta * float(u @ u)
 
     def line_search(w, r_w, grad_w, L_k):
-        """Prox-gradient step from w; double L_k until f's quadratic bound
-        holds. Returns (z, residual, residual norm, objective, L_k) at z."""
+        """Prox-gradient step from w; double L_k until f's quadratic bound holds.
+        Returns (z, linearization, residual, residual norm, objective, L_k) at z."""
         f_w = smooth_of(w, r_w)
         slope = grad_w - (2.0 * alpha * eta) * w
         for _ in range(MAX_BACKTRACKS):
             z = step(w, grad_w, L_k)
-            r_z = residual_of(z)
+            lin_z, r_z = _evaluate(op, z, y_delta)
             d = z - w
             if smooth_of(z, r_z) <= f_w + float(slope @ d) + 0.5 * L_k * float(d @ d):
                 res_norm_z = float(np.linalg.norm(r_z))
-                return z, r_z, res_norm_z, objective_of(z, res_norm_z), L_k
+                return z, lin_z, r_z, res_norm_z, objective_of(z, res_norm_z), L_k
             L_k *= 2.0
         raise NumericalOverflowError(
             f"line search found no step after {MAX_BACKTRACKS} doublings of L")
 
-    residual = residual_of(x)
-    grad = op.jacobian_adjoint_apply(x, residual)
+    lin, residual = _evaluate(op, x, y_delta)
+    grad = lin.vjp(residual)
     res_norm = float(np.linalg.norm(residual))
     obj = objective_of(x, res_norm)
     if cfg.record_trace:
@@ -295,17 +294,16 @@ def _run_accelerated(op, y_delta, alpha, eta, cfg: SolverConfig, step,
         plain = momentum == 0.0
         if not plain:
             w = x + momentum * (x - x_prev)
-            r_w = residual_of(w)
-            z, r_z, res_norm_z, obj_z, L_k = line_search(
-                w, r_w, op.jacobian_adjoint_apply(w, r_w), L_k)
+            lin_w, r_w = _evaluate(op, w, y_delta)
+            z, lin_z, r_z, res_norm_z, obj_z, L_k = line_search(w, r_w, lin_w.vjp(r_w), L_k)
             if obj_z > obj:
                 plain = True
                 t = 1.0
         if plain:
-            z, r_z, res_norm_z, obj_z, L_k = line_search(x, residual, grad, L_k)
+            z, lin_z, r_z, res_norm_z, obj_z, L_k = line_search(x, residual, grad, L_k)
         step_norm = float(np.linalg.norm(z - x))
         x_prev, x, residual, res_norm, obj = x, z, r_z, res_norm_z, obj_z
-        grad = op.jacobian_adjoint_apply(x, residual)
+        grad = lin_z.vjp(residual)
         fixed_step = float(np.linalg.norm(x - step(x, grad, L)))
         iterations = k
         converged = fixed_step < cfg.tol

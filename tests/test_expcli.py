@@ -360,6 +360,14 @@ def test_config_file_loading(tmp_path):
     path2.write_text(json.dumps(cfg2), encoding="utf-8")
     assert _load_config_spec(str(path2)).alpha_per_level == {30.0: 5.1e-5}
 
+    # an integral number fills an int field, and an int fills a float field
+    path3 = tmp_path / "num.json"
+    path3.write_text(json.dumps({"max_iters": 40.0, "L_list": [10], "tol": 1}),
+                     encoding="utf-8")
+    spec3 = _load_config_spec(str(path3))
+    assert (spec3.max_iters, spec3.L_list, spec3.tol) == (40, (10.0,), 1.0)
+    assert type(spec3.max_iters) is int and type(spec3.tol) is float
+
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 24, "granularity": 2}), encoding="utf-8")
     with pytest.raises(ParameterError, match="unknown keys"):
@@ -376,7 +384,9 @@ def test_config_file_loading(tmp_path):
 
 @pytest.mark.parametrize("cfg", [{"seeds": 5}, {"eta_list": 1.0}, {"n": "200"},
                                  {"alpha_mode": "per_level",
-                                  "alpha_per_level": {"10": "x"}}])
+                                  "alpha_per_level": {"10": "x"}},
+                                 {"tol": "x", "seeds": [0]}, {"seeds": "ab"},
+                                 {"max_iters": 1.5, "seeds": [0]}])
 def test_cli_config_malformed_values(tmp_path, capsys, cfg):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")

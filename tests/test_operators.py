@@ -3,10 +3,12 @@ import numpy as np
 import pytest
 
 from hvsparse.core import (NumericalOverflowError, ParameterError,
-                           gaussian_instance)
-from hvsparse.operators import (MatrixOperator, PowerCsOperator,
-                                estimate_smooth_lipschitz, fd_jacobian_check,
-                                POWER_LIMIT)
+                           gaussian_instance, snr_db)
+from hvsparse.operators import (Linearization, MatrixOperator, NonlinearOperator,
+                                PowerCsOperator, estimate_smooth_lipschitz,
+                                fd_jacobian_check, POWER_LIMIT)
+from hvsparse.solvers import (STEP_ACCELERATED, STEP_FIXED, SolverConfig,
+                              TERMINATION_CONVERGED, hv_solve)
 
 
 def test_power_operator_scalar_example():
@@ -168,3 +170,64 @@ def test_power_operator_rejects_bad_exponents():
     for c, d in ((0, 1), (1, 0), (-2, 3), (2.5, 3), (2, 3.0)):
         with pytest.raises(ParameterError):
             PowerCsOperator(np.eye(2), c, d)
+
+
+def test_jacobian_actions_evaluate_the_model():
+    # both Jacobian actions linearize at x, so they raise where F(x) does,
+    # also where the diagonals alone (x^2 ~ 1e42, z ~ 1e78) would not
+    op = PowerCsOperator(np.array([[1e15]]), 2, 3)
+    x = np.array([1e21])
+    with pytest.raises(NumericalOverflowError, match="z\\^2"):
+        op.jacobian_apply(x, np.ones(1))
+    with pytest.raises(NumericalOverflowError, match="z\\^2"):
+        op.jacobian_adjoint_apply(x, np.ones(1))
+
+
+def test_linearization_matches_the_three_views():
+    rng = np.random.default_rng(29)
+    op = PowerCsOperator(rng.normal(size=(5, 7)), 3, 2)
+    x, u, r = rng.uniform(-1, 1, 7), rng.normal(size=7), rng.normal(size=5)
+    lin = op.linearize(x)
+    assert isinstance(lin, Linearization)
+    assert np.array_equal(lin.value, op.apply(x))
+    assert np.array_equal(lin.jvp(u), op.jacobian_apply(x, u))
+    assert np.array_equal(lin.vjp(r), op.jacobian_adjoint_apply(x, r))
+
+
+class _TanhOperator(NonlinearOperator):
+    """F(x) = A tanh(x), defined by its dimensions and linearize alone."""
+
+    def __init__(self, a):
+        self.a = a
+
+    @property
+    def input_dim(self) -> int:
+        return self.a.shape[1]
+
+    @property
+    def output_dim(self) -> int:
+        return self.a.shape[0]
+
+    def linearize(self, x):
+        t = np.tanh(x)
+        return Linearization(self.a @ t, self.a, 1.0 - t * t, 1.0)
+
+
+def test_model_defined_by_linearize_alone():
+    a, x_true = gaussian_instance(30, 15, 3, 0.3, np.random.SeedSequence(40))
+    op = _TanhOperator(a)
+    rng = np.random.default_rng(41)
+    x = rng.uniform(-1, 1, 30)
+    assert fd_jacobian_check(op, x).passed
+    u, r = rng.normal(size=30), rng.normal(size=15)
+    lhs = float(op.jacobian_apply(x, u) @ r)
+    assert lhs == pytest.approx(float(u @ op.jacobian_adjoint_apply(x, r)), rel=1e-12)
+
+    y = op.apply(x_true)
+    L = float(np.linalg.norm(a, 2)) ** 2
+    fixed = hv_solve(op, y, 1e-4, 1.0, SolverConfig(L=L, max_iters=500, step=STEP_FIXED))
+    assert np.all(np.diff(fixed.trace.objective) <= 0.0)
+    accelerated = hv_solve(op, y, 1e-4, 1.0,
+                           SolverConfig(L=L, max_iters=5000, step=STEP_ACCELERATED))
+    assert accelerated.termination == TERMINATION_CONVERGED
+    assert snr_db(accelerated.x_star, x_true) > 30.0

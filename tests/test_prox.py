@@ -118,12 +118,17 @@ def test_prox_one_dimensional():
     assert np.array_equal(prox_sql1(np.array([3.0]), 0.5).p, [1.5])
 
 
+def _weights(x, alpha, mu):
+    """The weights lambda_i = max(sqrt(alpha)*|x_i|/sqrt(mu) - 2*alpha, 0) at mu."""
+    return np.maximum(np.sqrt(alpha) * np.abs(x) / np.sqrt(mu) - 2.0 * alpha, 0.0)
+
+
 def test_prox_frozen_example():
     sol = prox_sql1(np.array([3.0, 1.0]), 0.25)
     assert np.array_equal(sol.p, [2.0, 0.0])
     assert sol.mu_star == 1.0
     assert sol.threshold == 1.0
-    assert np.array_equal(sol.lam, [1.0, 0.0])
+    assert np.array_equal(_weights(np.array([3.0, 1.0]), 0.25, sol.mu_star), [1.0, 0.0])
 
 
 def test_prox_against_grid_oracle():
@@ -150,9 +155,10 @@ def test_prox_solution_invariants():
         x = rng.uniform(-5, 5, int(rng.integers(1, 11)))
         alpha = float(10 ** rng.uniform(-4, 1))
         sol = prox_sql1(x, alpha)
-        assert float(np.sum(sol.lam)) == pytest.approx(1.0, abs=1e-10)
-        assert np.all(sol.lam >= 0)
-        rebuilt = sol.lam * x / (sol.lam + 2.0 * alpha)
+        lam = _weights(x, alpha, sol.mu_star)
+        assert float(np.sum(lam)) == pytest.approx(1.0, abs=1e-10)
+        assert np.all(lam >= 0)
+        rebuilt = lam * x / (lam + 2.0 * alpha)
         assert np.abs(sol.p - rebuilt).max() <= 1e-12 * max(1.0, np.abs(x).max())
         assert np.array_equal(sol.p, soft_threshold(x, sol.threshold))
 

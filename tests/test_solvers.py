@@ -227,6 +227,33 @@ def test_st_with_positive_beta_differs():
     assert np.all(np.isfinite(st.x_star))
 
 
+class _CountingOperator(PowerCsOperator):
+    """Counts linearizations, the one way a solver may evaluate the model."""
+
+    linearizations = 0
+
+    def linearize(self, x):
+        self.linearizations += 1
+        return super().linearize(x)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda op, y, cfg: hv_solve(op, y, 1e-3, 1.0, cfg),
+    lambda op, y, cfg: ista_solve(op, y, 1e-3, cfg),
+    lambda op, y, cfg: stl1l2_solve(op, y, 1e-3, 5e-4, cfg),
+], ids=["hv", "ista", "st"])
+def test_fixed_rule_linearizes_once_per_iterate(solve):
+    op, y = _st_parity_instance()
+    # one budget-limited solve with a trace, one converged solve without
+    for max_iters, record_trace, ends in ((7, True, TERMINATION_MAX_ITERS),
+                                          (1000, False, TERMINATION_CONVERGED)):
+        counted = _CountingOperator(op.a, op.c, op.d)
+        cfg = SolverConfig(L=10.0, max_iters=max_iters, tol=1e-3, record_trace=record_trace)
+        res = solve(counted, y, cfg)
+        assert res.termination == ends
+        assert counted.linearizations == res.iterations + 1
+
+
 def test_st_beta_bounds():
     op = MatrixOperator(np.eye(2))
     cfg = SolverConfig(L=1.0)
