@@ -26,7 +26,6 @@ import json
 import sys
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -259,6 +258,8 @@ def _run_task(task: _Task) -> _TaskResult:
 
 def _execute(tasks: list[_Task], workers: int) -> list[_TaskResult]:
     if workers > 1 and len(tasks) > 1:
+        # imported here: it pulls in multiprocessing, which serial runs never use
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_task, tasks))
     return [_run_task(t) for t in tasks]

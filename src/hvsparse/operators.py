@@ -74,20 +74,18 @@ class NonlinearOperator(ABC):
         return self.linearize(x).vjp(as_vector(r, "r", self.output_dim))
 
 
-def _int_power(v: np.ndarray, k: int, name: str) -> np.ndarray:
-    """v**k by repeated multiplication; k = 0 gives ones. Guards overflow."""
-    if k == 0:
-        return np.ones_like(v)
+def _powers(v: np.ndarray, k: int, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(v**(k-1), v**k) by repeated multiplication, k >= 1. Guards overflow of v**k."""
     if k > 1:
         top = float(np.max(np.abs(v)))
         # k*log10(top) > 150 means v**k leaves the guarded range
         if top > 1.0 and k * np.log10(top) > np.log10(POWER_LIMIT):
             raise NumericalOverflowError(
                 f"{name}^{k} exceeds {POWER_LIMIT:.0e} (max base magnitude {top:.3e})")
-    out = v.copy()
-    for _ in range(k - 1):
-        out *= v
-    return out
+    low = v if k > 1 else np.ones_like(v)
+    for _ in range(k - 2):
+        low = low * v
+    return low, low * v
 
 
 class MatrixOperator(NonlinearOperator):
@@ -138,11 +136,10 @@ class PowerCsOperator(NonlinearOperator):
 
     def linearize(self, x) -> Linearization:
         x = as_vector(x, "x", self.input_dim)
-        z = self.a @ (x + _int_power(x, self.d, "x"))
-        value = z + _int_power(z, self.c, "z")
-        inner = 1.0 + self.d * _int_power(x, self.d - 1, "x")
-        outer = 1.0 + self.c * _int_power(z, self.c - 1, "z")
-        return Linearization(value, self.a, inner, outer)
+        x_low, x_d = _powers(x, self.d, "x")
+        z = self.a @ (x + x_d)
+        z_low, z_c = _powers(z, self.c, "z")
+        return Linearization(z + z_c, self.a, 1.0 + self.d * x_low, 1.0 + self.c * z_low)
 
 
 @dataclass(frozen=True)

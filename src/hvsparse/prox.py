@@ -18,6 +18,7 @@ kept alongside as an independent cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,12 +51,17 @@ def _check_alpha(alpha_eff: float) -> float:
     return float(alpha_eff)
 
 
+def _shrink(x: np.ndarray, a: np.ndarray, theta: float) -> np.ndarray:
+    """sign(x_i)*max(a_i - theta, 0) for a = |x|; x and theta already validated."""
+    return np.sign(x) * np.maximum(a - theta, 0.0)
+
+
 def soft_threshold(x, theta: float) -> np.ndarray:
     """Componentwise shrink toward zero: sign(x_i)*max(|x_i| - theta, 0)."""
     x = as_vector(x, "x")
     if not (theta >= 0 and np.isfinite(theta)):
         raise ParameterError(f"theta must be nonnegative and finite, got {theta}")
-    return np.sign(x) * np.maximum(np.abs(x) - theta, 0.0)
+    return _shrink(x, np.abs(x), theta)
 
 
 def lambda_weights(x) -> np.ndarray:
@@ -82,6 +88,22 @@ def psi(x, alpha_eff: float, mu: float) -> float:
     return float(terms.sum()) - 1.0
 
 
+def _mu(a: np.ndarray, alpha_eff: float) -> float:
+    """mu_star for a = |x| != 0 and a validated alpha_eff (a Python float)."""
+    s = np.sort(a)[::-1]
+    cums = np.cumsum(s)
+    k = np.arange(1, s.size + 1)
+    theta = 2.0 * alpha_eff * cums / (1.0 + 2.0 * alpha_eff * k)
+    k_best = int(np.nonzero(s > theta)[0][-1])
+    ratio = float(cums[k_best]) / (1.0 + 2.0 * alpha_eff * (k_best + 1))
+    # Python floats: a square past the float64 range gives inf without a warning
+    mu = alpha_eff * (ratio * ratio)
+    if not mu < math.inf:
+        raise NumericalOverflowError(
+            f"mu_star overflowed for input of magnitude {float(a.max()):.3e}")
+    return mu
+
+
 def mu_star(x, alpha_eff: float) -> float:
     """Exact positive root of psi via sorted support search.
 
@@ -92,24 +114,11 @@ def mu_star(x, alpha_eff: float) -> float:
     magnitude still exceeds theta_k; k = 1 always qualifies for x != 0, so
     the search cannot come back empty.
     """
-    x = as_vector(x, "x")
+    a = np.abs(as_vector(x, "x"))
     alpha_eff = _check_alpha(alpha_eff)
-    a = np.abs(x)
     if not a.any():
         raise ParameterError("mu_star is undefined at x = 0; prox(0) = 0 by convention")
-    s = np.sort(a)[::-1]
-    cums = np.cumsum(s)
-    k = np.arange(1, s.size + 1)
-    theta = 2.0 * alpha_eff * cums / (1.0 + 2.0 * alpha_eff * k)
-    inside = np.nonzero(s > theta)[0]
-    k_best = inside[-1]
-    ratio = cums[k_best] / (1.0 + 2.0 * alpha_eff * (k_best + 1))
-    with np.errstate(over="ignore"):
-        mu = float(alpha_eff * (ratio * ratio))
-    if not np.isfinite(mu):
-        raise NumericalOverflowError(
-            f"mu_star overflowed for input of magnitude {float(a.max()):.3e}")
-    return mu
+    return _mu(a, alpha_eff)
 
 
 def mu_star_bisect(x, alpha_eff: float) -> float:
@@ -137,6 +146,16 @@ def mu_star_bisect(x, alpha_eff: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _sql1(x: np.ndarray, alpha_eff: float) -> tuple[np.ndarray, float, float]:
+    """(p, mu_star, threshold) of prox_sql1 for validated x and alpha_eff."""
+    a = np.abs(x)
+    if not a.any():
+        return np.zeros(x.size), 0.0, 0.0
+    mu = _mu(a, alpha_eff)
+    threshold = 2.0 * math.sqrt(alpha_eff * mu)
+    return _shrink(x, a, threshold), mu, threshold
+
+
 def prox_sql1(x, alpha_eff: float) -> ProxSolution:
     """Proximal point of alpha_eff*||.||_1^2 with its certificate.
 
@@ -144,14 +163,7 @@ def prox_sql1(x, alpha_eff: float) -> ProxSolution:
     the point is computed as soft_threshold(x, 2*sqrt(alpha_eff*mu_star)),
     which coincides with the weight formula lambda_i*x_i/(lambda_i+2a).
     """
-    x = as_vector(x, "x")
-    alpha_eff = _check_alpha(alpha_eff)
-    if not np.abs(x).any():
-        return ProxSolution(p=np.zeros(x.size), mu_star=0.0, threshold=0.0)
-    mu = mu_star(x, alpha_eff)
-    threshold = 2.0 * np.sqrt(alpha_eff * mu)
-    p = soft_threshold(x, threshold)
-    return ProxSolution(p=p, mu_star=mu, threshold=float(threshold))
+    return ProxSolution(*_sql1(as_vector(x, "x"), _check_alpha(alpha_eff)))
 
 
 def prox_sql1_bisect(x, alpha_eff: float) -> np.ndarray:

@@ -25,13 +25,14 @@ extrapolated step would raise the objective (Beck & Teboulle 2009; Li & Lin
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import MAGNITUDE_LIMIT as DIVERGENCE_LIMIT
 from .core import NumericalOverflowError, ParameterError, as_vector, relative_error, snr_db
-from .prox import prox_sql1, soft_threshold
+from .prox import _check_alpha, _shrink, _sql1
 from .regfunc import RegParams
 
 TERMINATION_CONVERGED = "converged_by_tol"
@@ -144,22 +145,24 @@ class RecoveryResult:
 
 
 def _check_finite(v: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(v)):
-        raise NumericalOverflowError(f"{what} became non-finite")
-    top = float(np.abs(v).max()) if v.size else 0.0
-    if top > DIVERGENCE_LIMIT:
-        raise NumericalOverflowError(
-            f"{what} reached magnitude {top:.3e}; iteration diverged")
+    top = float(np.abs(v).max())
+    if not top <= DIVERGENCE_LIMIT:
+        raise NumericalOverflowError(f"{what} reached magnitude {top:.3e}; iteration diverged"
+                                     if math.isfinite(top) else f"{what} became non-finite")
     return v
+
+
+def _norm(v: np.ndarray) -> float:
+    """||v||_2 by np.linalg.norm's own 1-d formula, without its dispatch."""
+    return math.sqrt(float(v @ v))
 
 
 def _hv_maps(alpha, eta, L, weight):
     """Return hv_solve's step(x, grad, L_k), a step 1/L_k with the prox at
     weight*(L/L_k), and objective_of(x, res_norm), the objective it descends."""
     def step(x, grad, L_k):
-        v = x + (2.0 * alpha * eta / L_k) * x - grad / L_k
-        _check_finite(v, "gradient step v")
-        return prox_sql1(v, weight * (L / L_k)).p
+        v = _check_finite(x + (2.0 * alpha * eta / L_k) * x - grad / L_k, "gradient step v")
+        return _sql1(v, weight * (L / L_k))[0]
 
     def objective_of(x, res_norm):
         norm1 = float(np.sum(np.abs(x)))
@@ -178,14 +181,14 @@ def hv_step(op, x, y_delta, alpha: float, eta: float, L: float) -> np.ndarray:
     """One proximal-gradient step of the main solver (prox weight alpha/L) from x."""
     x = as_vector(x, "x")
     lin, residual = _evaluate(op, x, as_vector(y_delta, "y_delta", op.output_dim))
-    step, _ = _hv_maps(alpha, eta, L, alpha / L)
+    step, _ = _hv_maps(alpha, eta, L, _check_alpha(alpha / L))
     return step(x, lin.vjp(residual), L)
 
 
 def stationarity_residual(op, x, y_delta, alpha: float, eta: float, L: float) -> float:
     """Gradient-mapping norm L*||x - hv_step(x)||; zero exactly at stationary x."""
     x = as_vector(x, "x")
-    return float(L * np.linalg.norm(x - hv_step(op, x, y_delta, alpha, eta, L)))
+    return float(L * _norm(x - hv_step(op, x, y_delta, alpha, eta, L)))
 
 
 def _start(op, y_delta, cfg: SolverConfig, x_true):
@@ -223,20 +226,20 @@ def _run_fixed_step(op, y_delta, cfg: SolverConfig, step, objective_of,
 
     lin, residual = _evaluate(op, x, y_delta)
     if cfg.record_trace:
-        res_norm = float(np.linalg.norm(residual))
+        res_norm = _norm(residual)
         record(0, x, objective_of(x, res_norm), res_norm, float("nan"))
 
     iterations = 0
     termination = TERMINATION_MAX_ITERS
     for k in range(1, cfg.max_iters + 1):
         x_new = step(x, lin.vjp(residual), cfg.L)
-        step_norm = float(np.linalg.norm(x_new - x))
+        step_norm = _norm(x_new - x)
         x = x_new
         lin, residual = _evaluate(op, x, y_delta)
         iterations = k
         converged = step_norm < cfg.tol
         if cfg.record_trace:
-            res_norm = float(np.linalg.norm(residual))
+            res_norm = _norm(residual)
             record(k, x, objective_of(x, res_norm), res_norm, step_norm)
         if converged:
             termination = TERMINATION_CONVERGED
@@ -244,8 +247,8 @@ def _run_fixed_step(op, y_delta, cfg: SolverConfig, step, objective_of,
 
     x_next = step(x, lin.vjp(residual), cfg.L)
     return RecoveryResult(x_star=x, iterations=iterations, termination=termination,
-                          trace=trace, final_residual=float(np.linalg.norm(residual)),
-                          stationarity=float(cfg.L * np.linalg.norm(x - x_next)))
+                          trace=trace, final_residual=_norm(residual),
+                          stationarity=float(cfg.L * _norm(x - x_next)))
 
 
 def _run_accelerated(op, y_delta, alpha, eta, cfg: SolverConfig, step,
@@ -259,28 +262,33 @@ def _run_accelerated(op, y_delta, alpha, eta, cfg: SolverConfig, step,
     def smooth_of(u, r):
         return 0.5 * float(r @ r) - alpha * eta * float(u @ u)
 
-    def line_search(w, r_w, grad_w, L_k):
+    def line_search(w, r_w, grad_w, L_k, z=None):
         """Prox-gradient step from w; double L_k until f's quadratic bound holds.
+        z, if given, is the first trial step(w, grad_w, L_k), already computed.
         Returns (z, linearization, residual, residual norm, objective, L_k) at z."""
         f_w = smooth_of(w, r_w)
         slope = grad_w - (2.0 * alpha * eta) * w
         for _ in range(MAX_BACKTRACKS):
-            z = step(w, grad_w, L_k)
+            if z is None:
+                z = step(w, grad_w, L_k)
             lin_z, r_z = _evaluate(op, z, y_delta)
             d = z - w
             if smooth_of(z, r_z) <= f_w + float(slope @ d) + 0.5 * L_k * float(d @ d):
-                res_norm_z = float(np.linalg.norm(r_z))
+                res_norm_z = _norm(r_z)
                 return z, lin_z, r_z, res_norm_z, objective_of(z, res_norm_z), L_k
             L_k *= 2.0
+            z = None
         raise NumericalOverflowError(
             f"line search found no step after {MAX_BACKTRACKS} doublings of L")
 
     lin, residual = _evaluate(op, x, y_delta)
     grad = lin.vjp(residual)
-    res_norm = float(np.linalg.norm(residual))
+    res_norm = _norm(residual)
     obj = objective_of(x, res_norm)
     if cfg.record_trace:
         record(0, x, obj, res_norm, float("nan"))
+    # the stopping test's point; a plain step at L_k == L takes it as its first trial
+    x_fixed = step(x, grad, L)
 
     L_k = L
     t = 1.0
@@ -300,11 +308,13 @@ def _run_accelerated(op, y_delta, alpha, eta, cfg: SolverConfig, step,
                 plain = True
                 t = 1.0
         if plain:
-            z, lin_z, r_z, res_norm_z, obj_z, L_k = line_search(x, residual, grad, L_k)
-        step_norm = float(np.linalg.norm(z - x))
+            z, lin_z, r_z, res_norm_z, obj_z, L_k = line_search(
+                x, residual, grad, L_k, x_fixed if L_k == L else None)
+        step_norm = _norm(z - x)
         x_prev, x, residual, res_norm, obj = x, z, r_z, res_norm_z, obj_z
         grad = lin_z.vjp(residual)
-        fixed_step = float(np.linalg.norm(x - step(x, grad, L)))
+        x_fixed = step(x, grad, L)
+        fixed_step = _norm(x - x_fixed)
         iterations = k
         converged = fixed_step < cfg.tol
         if cfg.record_trace:
@@ -346,7 +356,7 @@ def hv_solve(op, y_delta, alpha: float, eta: float, cfg: SolverConfig,
         error per iteration.
     """
     RegParams(alpha, eta)  # raises ParameterError for an invalid alpha or eta
-    weight = alpha if cfg.compat_alpha_mode else alpha / cfg.L
+    weight = _check_alpha(alpha if cfg.compat_alpha_mode else alpha / cfg.L)
     step, objective_of = _hv_maps(alpha, eta, cfg.L, weight)
     if cfg.step == STEP_ACCELERATED:
         return _run_accelerated(op, y_delta, alpha, eta, cfg, step, objective_of, x_true)
@@ -358,16 +368,15 @@ def _run_st(op, y_delta, alpha: float, beta: float, cfg: SolverConfig,
     """Soft-thresholding loop on 0.5*||F(x)-y||^2 + alpha*||x||_1 - beta*||x||_2."""
     def step(x, grad, L):
         if beta != 0.0:
-            norm_x = np.linalg.norm(x)
+            norm_x = _norm(x)
             if norm_x > 0.0:
                 grad = grad - (beta / norm_x) * x
-        v = x - grad / L
-        _check_finite(v, "gradient step v")
-        return soft_threshold(v, alpha / L)
+        v = _check_finite(x - grad / L, "gradient step v")
+        return _shrink(v, np.abs(v), alpha / L)
 
     def objective_of(x, res_norm):
         return (0.5 * res_norm ** 2 + alpha * float(np.sum(np.abs(x)))
-                - beta * float(np.linalg.norm(x)))
+                - beta * _norm(x))
 
     return _run_fixed_step(op, y_delta, cfg, step, objective_of, x_true)
 
