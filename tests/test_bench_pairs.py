@@ -16,6 +16,10 @@ def test_bench_pairs_on_tiny_workload(tmp_path):
     assert done.returncode == 0, done.stderr
     record = json.loads(out.read_text())
     assert record["tag"] == "smoke"
+    # the settings name each side: here both are this tree
+    settings = record["settings"]
+    assert settings["source_sha256"]["base"] == settings["source_sha256"]["head"] is not None
+    assert (settings["head_commit"] is None) == (settings["head_dirty"] is None)
     # the side that runs first alternates from pair to pair
     assert [(r["pair"], r["side"]) for r in record["runs"]] == [
         (0, "base"), (0, "head"), (1, "head"), (1, "base")]

@@ -1,12 +1,12 @@
 """Interleaved base/head runs of the benchmark, written to one BENCH file.
 
     python3 tools/bench_pairs.py --tag NAME --base DIR [--base-rev REV]
-        [--head DIR] [--workloads W1,W2] [--seed N] [--seconds S]
+        [--workloads W1,W2] [--seed N] [--seconds S]
         [--pairs N] [--traced-pairs M] [--out PATH]
 
 Runs ``python3 perfbench/run.py --workload W --seed N --seconds S --trace T``
-in two checkouts, the base (the parent commit) and the head (this tree by
-default), in pairs: per workload, ``--pairs`` pairs at ``--trace 0`` and
+in two checkouts, the base (the parent commit) and the head (this tree),
+in pairs: per workload, ``--pairs`` pairs at ``--trace 0`` and
 then ``--traced-pairs`` pairs at ``--trace 1``. The two runs of a pair are
 back to back, and the side that goes first alternates from pair to pair, so
 a drift in machine load falls on both sides alike.
@@ -16,12 +16,15 @@ base directory with ``git archive``, which, unlike a worktree, leaves no
 state behind in the repository. Without it ``--base`` must already hold a
 checkout.
 
-The output, ``BENCH_<tag>.json`` in the head checkout unless ``--out`` says
+The output, ``BENCH_<tag>.json`` in this tree unless ``--out`` says
 otherwise, holds every run's last-line JSON, each side's median and
 quartiles per metric with the number of pairs the head won, and the
-environment record the runner printed for each side of each series. Which
-direction is better comes from the head's ``BENCHMARK.json``; metrics it
-does not list get no win count.
+environment record the runner printed for each side of each series. Its
+settings name both sides: the base commit (when ``--base-rev`` exported
+it), the head's commit with a flag for uncommitted changes to tracked
+files, and the runner's digest of each side's sources. Which direction is
+better comes from this tree's ``BENCHMARK.json``; metrics it does not list
+get no win count.
 """
 
 from __future__ import annotations
@@ -51,6 +54,18 @@ def export_revision(rev: str, dest: Path) -> str:
     dest.mkdir(parents=True)
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     return commit
+
+
+def head_state() -> tuple[str | None, bool | None]:
+    """This tree's commit and whether tracked files differ from it;
+    (None, None) outside a git checkout."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+    commit = git("rev-parse", "--verify", "HEAD")
+    status = git("status", "--porcelain", "--untracked-files=no")
+    if commit.returncode != 0 or status.returncode != 0:
+        return None, None
+    return commit.stdout.strip(), bool(status.stdout.strip())
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int):
@@ -94,7 +109,6 @@ def main(argv=None) -> int:
     parser.add_argument("--tag", required=True, help="names the output BENCH_<tag>.json")
     parser.add_argument("--base", type=Path, required=True, help="base checkout directory")
     parser.add_argument("--base-rev", help="export this revision into --base first")
-    parser.add_argument("--head", type=Path, default=ROOT, help="head checkout (default: this tree)")
     parser.add_argument("--workloads", default=",".join(WORKLOADS),
                         help="comma-separated workload names")
     parser.add_argument("--seed", type=int, default=0)
@@ -102,21 +116,21 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=5, help="pairs per workload at --trace 0")
     parser.add_argument("--traced-pairs", type=int, default=1,
                         help="pairs per workload at --trace 1")
-    parser.add_argument("--out", type=Path, help="output path (default: <head>/BENCH_<tag>.json)")
+    parser.add_argument("--out", type=Path, help="output path (default: BENCH_<tag>.json in this tree)")
     args = parser.parse_args(argv)
     if args.pairs < 0 or args.traced_pairs < 0 or args.pairs + args.traced_pairs == 0:
         parser.error("need at least one pair")
 
     base_commit = export_revision(args.base_rev, args.base) if args.base_rev else None
-    trees = {"base": args.base.resolve(), "head": args.head.resolve()}
-    for side, tree in trees.items():
-        if not (tree / "perfbench" / "run.py").is_file():
-            parser.error(f"--{side} {tree} holds no perfbench/run.py")
-    spec = json.loads((trees["head"] / "BENCHMARK.json").read_text())
+    head_commit, head_dirty = head_state()
+    trees = {"base": args.base.resolve(), "head": ROOT}
+    if not (trees["base"] / "perfbench" / "run.py").is_file():
+        parser.error(f"--base {trees['base']} holds no perfbench/run.py")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
     started = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
-    runs, series = [], {}
+    runs, series, digests = [], {}, {}
     pair = 0
     for workload in args.workloads.split(","):
         for trace, count in ((0, args.pairs), (1, args.traced_pairs)):
@@ -126,6 +140,7 @@ def main(argv=None) -> int:
                 for position, side in enumerate(order):
                     result, env = run_once(trees[side], workload, args.seed, args.seconds, trace)
                     environment.setdefault(side, env)
+                    digests.setdefault(side, (env or {}).get("source_sha256"))
                     these.append({"workload": workload, "trace": trace, "pair": pair,
                                   "side": side, "position": position, "result": result})
                     metric = "us_per_iter" if trace == 0 else "solvers.self_us_per_iter"
@@ -151,11 +166,12 @@ def main(argv=None) -> int:
         "settings": {"workloads": args.workloads.split(","), "seed": args.seed,
                      "seconds": args.seconds, "pairs": args.pairs,
                      "traced_pairs": args.traced_pairs, "base_rev": args.base_rev,
-                     "base_commit": base_commit},
+                     "base_commit": base_commit, "head_commit": head_commit,
+                     "head_dirty": head_dirty, "source_sha256": digests},
         "series": series,
         "runs": runs,
     }
-    out = args.out or trees["head"] / f"BENCH_{args.tag}.json"
+    out = args.out or ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     return 0
