@@ -2,8 +2,8 @@
 
 Library layout: core (primitives, noise, metrics), regfunc (penalty and
 objective), prox (squared-l1 proximal operator), operators (forward models),
-solvers (fixed-step proximal gradient and baselines), tuning (parameter
-choice), expcli (experiment harness and CLI).
+solvers (proximal gradient and baselines), tuning (parameter-choice rules),
+expcli (experiment harness and CLI, the rate study included).
 """
 
 from .core import (DegenerateReferenceError, DegenerateSignalError, NoisyData,
@@ -17,9 +17,8 @@ from .prox import (ProxSolution, lambda_weights, mu_star, mu_star_bisect,
 from .regfunc import RegParams, objective, reg_value, smooth_grad
 from .solvers import (IterateTrace, RecoveryResult, SolverConfig, hv_solve,
                       hv_step, ista_solve, stationarity_residual, stl1l2_solve)
-from .tuning import (DiscrepancyConfig, DiscrepancyResult, InstanceFamily,
-                     RateStudyReport, apriori_alpha, discrepancy_search,
-                     fit_loglog_slope, rate_study)
+from .tuning import (DiscrepancyConfig, DiscrepancyResult, apriori_alpha,
+                     discrepancy_search, fit_loglog_slope)
 
 __version__ = "0.1.0"
 
@@ -34,8 +33,7 @@ __all__ = [
     "RegParams", "objective", "reg_value", "smooth_grad",
     "IterateTrace", "RecoveryResult", "SolverConfig", "hv_solve", "hv_step",
     "ista_solve", "stationarity_residual", "stl1l2_solve",
-    "DiscrepancyConfig", "DiscrepancyResult", "InstanceFamily",
-    "RateStudyReport", "apriori_alpha", "discrepancy_search", "fit_loglog_slope",
-    "rate_study",
+    "DiscrepancyConfig", "DiscrepancyResult", "apriori_alpha",
+    "discrepancy_search", "fit_loglog_slope",
     "__version__",
 ]

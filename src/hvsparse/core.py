@@ -171,7 +171,10 @@ def snr_db(x_star, x_true, cap_db: float = SNR_CAP_DB) -> float:
     Exact recovery (and any value beyond ``cap_db``) is reported as
     ``cap_db`` so downstream tables stay finite.
     """
-    err = relative_error(x_star, x_true)
+    return _snr_of(relative_error(x_star, x_true), cap_db)
+
+
+def _snr_of(err: float, cap_db: float = SNR_CAP_DB) -> float:
     if err == 0.0:
         return float(cap_db)
     return float(min(-20.0 * np.log10(err), cap_db))

@@ -30,13 +30,13 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import (NumericalOverflowError, ParameterError, add_noise_db,
-                   gaussian_instance, relative_error, snr_db)
-from .operators import PowerCsOperator, fd_jacobian_check
+from .core import (NumericalOverflowError, ParameterError, _snr_of, add_noise_db,
+                   add_noise_norm, gaussian_instance, relative_error)
+from .operators import MatrixOperator, PowerCsOperator, fd_jacobian_check
 from .prox import prox_sql1, prox_sql1_bisect, soft_threshold
 from .solvers import SolverConfig, hv_solve, ista_solve, stl1l2_solve
-from .tuning import (DiscrepancyConfig, InstanceFamily, apriori_alpha,
-                     discrepancy_search, rate_study)
+from .tuning import (DiscrepancyConfig, apriori_alpha, discrepancy_search,
+                     fit_loglog_slope)
 
 CSV_HEADER = ("preset,seed,solver,n,m,s,c,d,eta,L,alpha,level_db,"
               "iterations,runtime_ms,snr_db,rel_error,final_residual,termination")
@@ -63,7 +63,6 @@ class ExperimentSpec:
     m: int = 80
     s: int = 16
     scale: float = 0.05
-    amplitude: float = 1.0
     c_list: tuple[int, ...] = (2,)
     d_list: tuple[int, ...] = (3,)
     eta_list: tuple[float, ...] = (1.0,)
@@ -182,11 +181,17 @@ class _Task:
 
 
 @dataclass
-class _TaskResult:
-    task: _Task
+class CompareOutput:
+    """Rows of a grid run, plus per-iteration relative-error curves when traced.
+
+    curves and digests are keyed by (seed, solver); the digest is the
+    sha256 of the y_delta bytes each solver consumed, equal across solvers
+    of one seed by construction.
+    """
+
     rows: list[ResultRow]
-    curves: dict[str, list[float]]
-    digests: dict[str, str]
+    curves: dict[tuple[int, str], list[float]] = field(default_factory=dict)
+    digests: dict[tuple[int, str], str] = field(default_factory=dict)
 
 
 def _build_tasks(spec: ExperimentSpec, want_traces: bool) -> list[_Task]:
@@ -197,11 +202,10 @@ def _build_tasks(spec: ExperimentSpec, want_traces: bool) -> list[_Task]:
             for c, d, eta, big_l, db, seed in grid]
 
 
-def _run_task(task: _Task) -> _TaskResult:
+def _run_task(task: _Task) -> CompareOutput:
     spec = task.spec
     a, x_true = gaussian_instance(spec.n, spec.m, spec.s, spec.scale,
-                                  np.random.SeedSequence((task.seed, 0)),
-                                  amplitude=spec.amplitude)
+                                  np.random.SeedSequence((task.seed, 0)))
     op = PowerCsOperator(a, task.c, task.d)
     data = add_noise_db(op.apply(x_true), task.level_db,
                         np.random.SeedSequence((task.seed, 1)))
@@ -221,11 +225,11 @@ def _run_task(task: _Task) -> _TaskResult:
                                     DiscrepancyConfig(solver=cfg, tau=spec.tau))
         alpha = search.alpha
 
-    rows, curves, digests = [], {}, {}
+    out = CompareOutput(rows=[])
     nan = float("nan")
     for solver in spec.solvers:
         # hashed before each solve, so a solver that mutated the shared data shows
-        digests[solver] = hashlib.sha256(data.y_delta.tobytes()).hexdigest()
+        out.digests[(task.seed, solver)] = hashlib.sha256(data.y_delta.tobytes()).hexdigest()
         start = time.perf_counter()
         try:
             if solver == "hv":
@@ -242,53 +246,40 @@ def _run_task(task: _Task) -> _TaskResult:
             outcome = dict(iterations=0, snr_db=nan, rel_error=nan,
                            final_residual=nan, termination=TERMINATION_FAILED)
         else:
-            outcome = dict(iterations=result.iterations,
-                           snr_db=snr_db(result.x_star, x_true),
-                           rel_error=relative_error(result.x_star, x_true),
-                           final_residual=result.final_residual,
+            err = relative_error(result.x_star, x_true)
+            outcome = dict(iterations=result.iterations, snr_db=_snr_of(err),
+                           rel_error=err, final_residual=result.final_residual,
                            termination=result.termination)
             if task.want_traces:
-                curves[solver] = list(result.trace.rel_error)
-        rows.append(ResultRow(
+                out.curves[(task.seed, solver)] = list(result.trace.rel_error)
+        out.rows.append(ResultRow(
             preset=spec.preset, seed=task.seed, solver=solver, n=spec.n, m=spec.m,
             s=spec.s, c=task.c, d=task.d, eta=task.eta, L=task.L, alpha=alpha,
             level_db=task.level_db, runtime_ms=runtime_ms, **outcome))
-    return _TaskResult(task=task, rows=rows, curves=curves, digests=digests)
+    return out
 
 
-def _execute(tasks: list[_Task], workers: int) -> list[_TaskResult]:
-    if workers > 1 and len(tasks) > 1:
+def _run_grid(spec: ExperimentSpec, want_traces: bool) -> CompareOutput:
+    """Run every task of the spec and merge their outputs, rows sorted."""
+    tasks = _build_tasks(spec, want_traces)
+    if spec.workers > 1 and len(tasks) > 1:
         # imported here: it pulls in multiprocessing, which serial runs never use
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_task, tasks))
-    return [_run_task(t) for t in tasks]
-
-
-def _row_sort_key(row: ResultRow):
-    return (row.c, row.d, row.eta, row.L, row.level_db, row.seed, row.solver)
+        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+            parts = list(pool.map(_run_task, tasks))
+    else:
+        parts = [_run_task(t) for t in tasks]
+    out = CompareOutput(rows=[row for part in parts for row in part.rows])
+    for part in parts:
+        out.curves.update(part.curves)
+        out.digests.update(part.digests)
+    out.rows.sort(key=lambda r: (r.c, r.d, r.eta, r.L, r.level_db, r.seed, r.solver))
+    return out
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run the full grid of a spec; rows come back deterministically sorted."""
-    results = _execute(_build_tasks(spec, want_traces=False), spec.workers)
-    rows = [row for res in results for row in res.rows]
-    rows.sort(key=_row_sort_key)
-    return rows
-
-
-@dataclass
-class CompareOutput:
-    """Rows plus per-iteration relative-error curves from a comparison run.
-
-    curves and digests are keyed by (seed, solver); the digest is the
-    sha256 of the y_delta bytes each solver consumed, equal across solvers
-    of one seed by construction.
-    """
-
-    rows: list[ResultRow]
-    curves: dict[tuple[int, str], list[float]] = field(default_factory=dict)
-    digests: dict[tuple[int, str], str] = field(default_factory=dict)
+    return _run_grid(spec, want_traces=False).rows
 
 
 def run_compare(spec: ExperimentSpec) -> CompareOutput:
@@ -301,16 +292,7 @@ def run_compare(spec: ExperimentSpec) -> CompareOutput:
         if len(getattr(spec, name)) != 1:
             raise ParameterError(f"run_compare needs a single grid point; {name} "
                                  f"has {len(getattr(spec, name))} entries")
-    results = _execute(_build_tasks(spec, want_traces=True), spec.workers)
-    out = CompareOutput(rows=[])
-    for res in results:
-        out.rows.extend(res.rows)
-        for solver, curve in res.curves.items():
-            out.curves[(res.task.seed, solver)] = curve
-        for solver, digest in res.digests.items():
-            out.digests[(res.task.seed, solver)] = digest
-    out.rows.sort(key=_row_sort_key)
-    return out
+    return _run_grid(spec, want_traces=True)
 
 
 def _fmt(value) -> str:
@@ -610,18 +592,34 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    family = InstanceFamily(n=args.n, m=args.m, s=args.sparsity, scale=args.scale)
+    """Median error per noise norm under the a-priori alpha, and its log-log slope."""
+    if (args.c is None) != (args.d is None):
+        raise ParameterError("set both exponents --c and --d or neither")
     cfg = SolverConfig(L=args.L, max_iters=args.max_iters, tol=args.tol,
                        record_trace=False)
-    report = rate_study(family, args.deltas, args.eta, args.q, args.kappa, args.seeds, cfg)
-    for delta, alpha, err in zip(report.deltas, report.alphas, report.median_errors):
+    for what, values in (("noise levels", args.deltas), ("seeds", args.seeds)):
+        if len(values) < 3:
+            raise ParameterError(f"need at least 3 {what}, got {len(values)}")
+    alphas = [apriori_alpha(delta, args.q, args.kappa) for delta in args.deltas]
+    medians = []
+    for delta, alpha in zip(args.deltas, alphas):
+        errs = []
+        for seed in args.seeds:
+            a, x_true = gaussian_instance(args.n, args.m, args.sparsity, args.scale,
+                                          np.random.SeedSequence((seed, 0)))
+            op = MatrixOperator(a) if args.c is None else PowerCsOperator(a, args.c, args.d)
+            data = add_noise_norm(op.apply(x_true), delta, np.random.SeedSequence((seed, 1)))
+            x_star = hv_solve(op, data.y_delta, alpha, args.eta, cfg).x_star
+            errs.append(float(np.linalg.norm(x_star - x_true)))
+        medians.append(float(np.median(errs)))
+    slope, degenerate = fit_loglog_slope(args.deltas, medians)
+    for delta, alpha, err in zip(args.deltas, alphas, medians):
         print(f"delta={delta:.3e} alpha={alpha:.3e} median error={err:.3e}")
-    print(f"fitted log-log slope: {report.slope:.4f}"
-          + (" (degenerate fit)" if report.degenerate else ""))
+    print(f"fitted log-log slope: {slope:.4f}" + (" (degenerate fit)" if degenerate else ""))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write("delta,alpha,median_error\n")
-            for row in zip(report.deltas, report.alphas, report.median_errors):
+            for row in zip(args.deltas, alphas, medians):
                 fh.write(",".join(repr(v) for v in row) + "\n")
         print(f"wrote {args.out}")
     return 0
@@ -721,6 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="nonzero count of the true signal")
     p_rate.add_argument("--scale", type=float, default=0.05,
                         help="sensing-matrix scale factor")
+    p_rate.add_argument("--c", type=int, help="power-model outer exponent (with --d)")
+    p_rate.add_argument("--d", type=int, help="power-model inner exponent (with --c)")
     p_rate.add_argument("--eta", type=float, default=1.0, help="concave ratio in [0,1]")
     p_rate.add_argument("--L", type=float, default=2.0, help="step constant")
     p_rate.add_argument("--max-iters", dest="max_iters", type=int, default=5000,

@@ -51,6 +51,11 @@ def _check_alpha(alpha_eff: float) -> float:
     return float(alpha_eff)
 
 
+def _check_theta(theta: float) -> None:
+    if not (theta >= 0 and np.isfinite(theta)):
+        raise ParameterError(f"shrink threshold must be nonnegative and finite, got {theta}")
+
+
 def _shrink(x: np.ndarray, a: np.ndarray, theta: float) -> np.ndarray:
     """sign(x_i)*max(a_i - theta, 0) for a = |x|; x and theta already validated."""
     return np.sign(x) * np.maximum(a - theta, 0.0)
@@ -59,8 +64,7 @@ def _shrink(x: np.ndarray, a: np.ndarray, theta: float) -> np.ndarray:
 def soft_threshold(x, theta: float) -> np.ndarray:
     """Componentwise shrink toward zero: sign(x_i)*max(|x_i| - theta, 0)."""
     x = as_vector(x, "x")
-    if not (theta >= 0 and np.isfinite(theta)):
-        raise ParameterError(f"theta must be nonnegative and finite, got {theta}")
+    _check_theta(theta)
     return _shrink(x, np.abs(x), theta)
 
 

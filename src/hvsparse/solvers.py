@@ -31,8 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import MAGNITUDE_LIMIT as DIVERGENCE_LIMIT
-from .core import NumericalOverflowError, ParameterError, as_vector, relative_error, snr_db
-from .prox import _check_alpha, _shrink, _sql1
+from .core import (DegenerateReferenceError, NumericalOverflowError, ParameterError,
+                   _snr_of, as_vector)
+from .prox import _check_alpha, _check_theta, _shrink, _sql1
 from .regfunc import RegParams
 
 TERMINATION_CONVERGED = "converged_by_tol"
@@ -198,12 +199,14 @@ def _start(op, y_delta, cfg: SolverConfig, x_true):
     if x.size != op.input_dim:
         raise ParameterError(f"x0 has length {x.size}, expected {op.input_dim}")
     if x_true is not None:
-        x_true = as_vector(x_true, "x_true")
+        x_true = as_vector(x_true, "x_true", op.input_dim)
     return y_delta, x, x_true
 
 
 def _recorder(trace: IterateTrace, x_true):
-    """Return record(k, x_k, obj, res_norm, step), appending to ``trace``."""
+    """Return record(k, x_k, obj, res_norm, step), appending to ``trace``; with a
+    reference, one relative error per iterate gives both reference channels."""
+    norm_true = None if x_true is None else _norm(x_true)
     def record(k, x_k, obj, res_norm, step):
         trace.iteration.append(k)
         if not np.isfinite(obj):
@@ -212,8 +215,11 @@ def _recorder(trace: IterateTrace, x_true):
         trace.residual_norm.append(res_norm)
         trace.step_norm.append(step)
         if x_true is not None:
-            trace.snr_db.append(snr_db(x_k, x_true))
-            trace.rel_error.append(relative_error(x_k, x_true))
+            if norm_true == 0.0:
+                raise DegenerateReferenceError("relative error undefined for x_true = 0")
+            err = _norm(x_k - x_true) / norm_true
+            trace.snr_db.append(_snr_of(err))
+            trace.rel_error.append(err)
     return record
 
 
@@ -395,6 +401,7 @@ def stl1l2_solve(op, y_delta, alpha: float, beta: float, cfg: SolverConfig,
         raise ParameterError(f"alpha must be positive and finite, got {alpha}")
     if not (0.0 <= beta <= alpha):
         raise ParameterError(f"beta must lie in [0, alpha], got beta={beta}, alpha={alpha}")
+    _check_theta(alpha / cfg.L)
     _require_fixed_step(cfg, "stl1l2_solve")
     return _run_st(op, y_delta, alpha, beta, cfg, x_true)
 
@@ -407,5 +414,6 @@ def ista_solve(op, y_delta, alpha: float, cfg: SolverConfig, x_true=None) -> Rec
     """
     if not (alpha >= 0 and np.isfinite(alpha)):
         raise ParameterError(f"alpha must be nonnegative and finite, got {alpha}")
+    _check_theta(alpha / cfg.L)
     _require_fixed_step(cfg, "ista_solve")
     return _run_st(op, y_delta, alpha, 0.0, cfg, x_true)

@@ -1,4 +1,4 @@
-"""Regularization-parameter selection and an empirical rate study.
+"""Regularization-parameter selection and the log-log rate fit.
 
 Two rules are provided: a Morozov-style grid search that accepts the first
 alpha whose final residual lands in [delta, tau*delta], and closed-form
@@ -6,7 +6,8 @@ a-priori rules alpha = kappa*delta^(q-1) (q > 1) or kappa*delta^(1-eps)
 (q = 1). The grid search sweeps alpha in ascending order rather than
 bisecting because the residual need not be monotone in alpha for nonlinear
 forward models; when no grid point lands in the band the search reports
-not-found together with the closest candidate.
+not-found together with the closest candidate. ``hvsparse rate`` fits its
+convergence rate with fit_loglog_slope.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, add_noise_norm, gaussian_instance
-from .operators import MatrixOperator, PowerCsOperator
+from .core import ParameterError
 from .solvers import RecoveryResult, SolverConfig, hv_solve
 
 DEFAULT_ALPHA_GRID = tuple(np.geomspace(1e-8, 1e-1, 40))
@@ -123,74 +123,3 @@ def fit_loglog_slope(deltas, errors) -> tuple[float, bool]:
     log_e = np.log(np.maximum(errors, 1e-300))
     slope = float(np.polyfit(np.log(deltas), log_e, 1)[0])
     return slope, False
-
-
-@dataclass(frozen=True)
-class InstanceFamily:
-    """Recipe for drawing random problem instances of a fixed shape.
-
-    With exponents c and d unset the forward model is the plain sensing
-    matrix; otherwise it is the componentwise-power model.
-    """
-
-    n: int
-    m: int
-    s: int
-    scale: float
-    c: int | None = None
-    d: int | None = None
-    amplitude: float = 1.0
-
-    def build(self, seed):
-        a, x_true = gaussian_instance(self.n, self.m, self.s, self.scale, seed,
-                                      amplitude=self.amplitude)
-        if self.c is None and self.d is None:
-            return MatrixOperator(a), x_true
-        if self.c is None or self.d is None:
-            raise ParameterError("set both exponents c and d or neither")
-        return PowerCsOperator(a, self.c, self.d), x_true
-
-
-@dataclass(frozen=True)
-class RateStudyReport:
-    """Median reconstruction errors per noise level and the fitted slope."""
-
-    deltas: tuple[float, ...]
-    alphas: tuple[float, ...]
-    median_errors: tuple[float, ...]
-    slope: float
-    degenerate: bool
-
-
-def rate_study(family: InstanceFamily, deltas, eta: float, q: float, kappa: float,
-               seeds, solver: SolverConfig) -> RateStudyReport:
-    """Measure how reconstruction error scales with the noise level.
-
-    For each delta the penalty weight is set by the a-priori rule, fresh
-    instances are drawn per seed with noise of exact norm delta, and the
-    median of ||x_star - x_true|| over seeds is recorded. The returned
-    slope is the log-log least-squares fit of those medians against delta.
-    """
-    deltas = [float(d) for d in deltas]
-    seeds = list(seeds)
-    if len(deltas) < 3:
-        raise ParameterError(f"need at least 3 noise levels, got {len(deltas)}")
-    if len(seeds) < 3:
-        raise ParameterError(f"need at least 3 seeds, got {len(seeds)}")
-    alphas = []
-    medians = []
-    for delta in deltas:
-        alpha = apriori_alpha(delta, q, kappa)
-        errs = []
-        for seed in seeds:
-            op, x_true = family.build(np.random.SeedSequence((int(seed), 0)))
-            data = add_noise_norm(op.apply(x_true), delta,
-                                  np.random.SeedSequence((int(seed), 1)))
-            result = hv_solve(op, data.y_delta, alpha, eta, solver)
-            errs.append(float(np.linalg.norm(result.x_star - x_true)))
-        alphas.append(alpha)
-        medians.append(float(np.median(errs)))
-    slope, degenerate = fit_loglog_slope(deltas, medians)
-    return RateStudyReport(deltas=tuple(deltas), alphas=tuple(alphas),
-                           median_errors=tuple(medians), slope=slope,
-                           degenerate=degenerate)

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from hvsparse.core import add_noise_db, gaussian_instance, snr_db
-from hvsparse.expcli import TEST3_ALPHA_PER_LEVEL
+from hvsparse.expcli import TEST3_ALPHA_PER_LEVEL, ExperimentSpec, run_experiment
 from hvsparse.operators import PowerCsOperator
 from hvsparse.regfunc import RegParams, objective
 from hvsparse.solvers import (STEP_ACCELERATED, STEP_FIXED, SolverConfig,
-                              TERMINATION_CONVERGED, hv_solve, ista_solve)
+                              TERMINATION_CONVERGED, hv_solve)
 
 BENCH_N = 200
 BENCH_M = 80
@@ -113,16 +113,15 @@ def bench_level_batteries():
 
 @pytest.fixture(scope="session")
 def bench_ista_battery():
-    """ista on the same realizations and alpha as the hv benchmark."""
-    runs = []
-    for seed in BENCH_SEEDS:
-        op, x_true, data = bench_instance(seed)
-        result = ista_solve(op, data.y_delta, BENCH_ALPHA, bench_config(False),
-                            x_true)
-        runs.append({"seed": seed, "snr": snr_db(result.x_star, x_true),
-                     "iterations": result.iterations,
-                     "termination": result.termination})
-    return runs
+    """ista on the same realizations and alpha as the hv benchmark, read from
+    the harness's rows (one per seed, in seed order). c=2, d=3, 30 dB and the
+    x0 fill 0.01 are the custom grid's defaults."""
+    spec = ExperimentSpec(n=BENCH_N, m=BENCH_M, s=BENCH_S, scale=BENCH_SCALE,
+                          L_list=(BENCH_L,), alpha=BENCH_ALPHA, tol=BENCH_TOL,
+                          max_iters=BENCH_MAX_ITERS, solvers=("ista",), seeds=BENCH_SEEDS)
+    rows = run_experiment(spec)
+    return [{"seed": r.seed, "snr": r.snr_db, "iterations": r.iterations,
+             "termination": r.termination} for r in rows]
 
 
 @pytest.fixture(scope="session")

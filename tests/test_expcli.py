@@ -10,14 +10,16 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from hvsparse.core import ParameterError, add_noise_db, gaussian_instance
+from hvsparse.core import ParameterError, add_noise_db, add_noise_norm, gaussian_instance
 from hvsparse.expcli import (CSV_HEADER, CompareOutput, ExperimentSpec,
                              ProxCheckReport, ResultRow, TERMINATION_FAILED,
                              TEST3_ALPHA_PER_LEVEL, _exit_code_for,
                              _load_config_spec, _parse_alpha, _parse_seeds,
                              emit_csv, emit_svg, main, preset_spec,
                              prox_battery, run_compare, run_experiment)
-from hvsparse.operators import PowerCsOperator
+from hvsparse.operators import MatrixOperator, PowerCsOperator
+from hvsparse.solvers import SolverConfig, hv_solve
+from hvsparse.tuning import apriori_alpha
 
 
 def tiny_spec(**overrides):
@@ -301,18 +303,62 @@ def test_cli_compare_upgrades_solver_set(tmp_path, capsys):
     assert len(out.read_text(encoding="utf-8").splitlines()) == 4
 
 
+RATE_ARGS = ["rate", "--n", "20", "--m", "10", "--sparsity", "2",
+             "--deltas", "1e-3,1e-2,1e-1", "--seeds", "3", "--L", "2.0",
+             "--max-iters", "200", "--tol", "1e-6", "--eta", "0.0"]
+
+
 def test_cli_rate_study(tmp_path, capsys):
     out = tmp_path / "rate.csv"
-    argv = ["rate", "--n", "20", "--m", "10", "--sparsity", "2",
-            "--deltas", "1e-3,1e-2,1e-1", "--seeds", "3", "--L", "2.0",
-            "--max-iters", "200", "--tol", "1e-6", "--eta", "0.0",
-            "--out", str(out)]
-    assert main(argv) == 0
-    stdout = capsys.readouterr().out
-    assert "fitted log-log slope" in stdout
+    assert main(RATE_ARGS + ["--q", "2", "--kappa", "1", "--out", str(out)]) == 0
+    slope_line = capsys.readouterr().out.splitlines()[-2]
+    assert slope_line.startswith("fitted log-log slope: ")
+    assert "degenerate" not in slope_line
+    assert float(slope_line.split(": ")[1]) > 0.0
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "delta,alpha,median_error"
-    assert len(lines) == 4
+    table = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert len(table) == 3
+    # q = 2 and kappa = 1 make the a-priori alpha the noise norm itself
+    assert all(alpha == delta and err > 0.0 for delta, alpha, err in table)
+
+
+def _rate_csv_by_hand(model, deltas=(1e-3, 1e-2, 1e-1), seeds=(0, 1, 2)):
+    """RATE_ARGS's study written out from public calls, as CSV text."""
+    cfg = SolverConfig(L=2.0, max_iters=200, tol=1e-6, record_trace=False)
+    lines = ["delta,alpha,median_error"]
+    for delta in deltas:
+        alpha = apriori_alpha(delta, 2.0, 1.0)
+        errs = []
+        for seed in seeds:
+            a, x_true = gaussian_instance(20, 10, 2, 0.05, np.random.SeedSequence((seed, 0)))
+            op = model(a)
+            data = add_noise_norm(op.apply(x_true), delta, np.random.SeedSequence((seed, 1)))
+            x_star = hv_solve(op, data.y_delta, alpha, 0.0, cfg).x_star
+            errs.append(float(np.linalg.norm(x_star - x_true)))
+        lines.append(",".join(repr(v) for v in (delta, alpha, float(np.median(errs)))))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("flags, model", [
+    ((), MatrixOperator),
+    (("--c", "2", "--d", "3"), lambda a: PowerCsOperator(a, 2, 3))])
+def test_cli_rate_matches_hand_loop(tmp_path, flags, model):
+    out = tmp_path / "rate.csv"
+    assert main(RATE_ARGS + list(flags) + ["--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == _rate_csv_by_hand(model)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--deltas", "1e-2,1e-1"), "at least 3 noise levels"),
+    (("--seeds", "2"), "at least 3 seeds"),
+    (("--c", "2"), "both exponents"),
+    (("--d", "3"), "both exponents")])
+def test_cli_rate_validation(tmp_path, capsys, flags, message):
+    out = tmp_path / "rate.csv"
+    assert main(RATE_ARGS + list(flags) + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_zero_flags_are_not_defaults(tmp_path, capsys):
@@ -372,6 +418,11 @@ def test_config_file_loading(tmp_path):
     bad.write_text(json.dumps({"n": 24, "granularity": 2}), encoding="utf-8")
     with pytest.raises(ParameterError, match="unknown keys"):
         _load_config_spec(str(bad))
+    # the signal amplitude is fixed at 1, not a spec field
+    amp = tmp_path / "amp.json"
+    amp.write_text(json.dumps({"amplitude": 1.0}), encoding="utf-8")
+    with pytest.raises(ParameterError, match=r"unknown keys \['amplitude'\]"):
+        _load_config_spec(str(amp))
     notjson = tmp_path / "broken.json"
     notjson.write_text("{n: 24", encoding="utf-8")
     with pytest.raises(ParameterError, match="not valid JSON"):

@@ -1,9 +1,12 @@
 """Solvers: step map, descent behavior, step rules, traces, and guards."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from hvsparse.core import (NumericalOverflowError, ParameterError,
-                           add_noise_db, gaussian_instance)
+from hvsparse.core import (DegenerateReferenceError, NumericalOverflowError,
+                           ParameterError, add_noise_db, gaussian_instance,
+                           relative_error, snr_db)
 from hvsparse.operators import (MatrixOperator, PowerCsOperator,
                                 estimate_smooth_lipschitz)
 from hvsparse.prox import prox_sql1
@@ -309,12 +312,24 @@ def test_hv_solve_parameter_validation():
         ista_solve(op, np.ones(2), -0.1, cfg)
 
 
+def test_baselines_reject_infinite_shrink_threshold():
+    # alpha and L are each finite, but the shrink threshold alpha/L is not
+    op = MatrixOperator(np.eye(3))
+    cfg = SolverConfig(L=1e-10)
+    with pytest.raises(ParameterError, match="shrink threshold"):
+        ista_solve(op, np.ones(3), 1e300, cfg)
+    with pytest.raises(ParameterError, match="shrink threshold"):
+        stl1l2_solve(op, np.ones(3), 1e300, 0.0, cfg)
+
+
 def test_x0_and_data_length_checks():
     op = MatrixOperator(np.eye(2))
     with pytest.raises(ParameterError, match="x0 has length"):
         hv_solve(op, np.ones(2), 0.1, 1.0, SolverConfig(L=1.0, x0=np.ones(3)))
     with pytest.raises(ParameterError, match="y_delta has length"):
         hv_solve(op, np.ones(3), 0.1, 1.0, SolverConfig(L=1.0))
+    with pytest.raises(ParameterError, match="x_true has length"):
+        hv_solve(op, np.ones(2), 0.1, 1.0, SolverConfig(L=1.0), x_true=np.ones(3))
 
 
 def test_trace_disabled_stays_empty():
@@ -369,6 +384,33 @@ def test_trace_reference_channels():
     assert len(res.trace.rel_error) == len(res.trace.iteration)
     assert res.trace.snr_db[-1] > 100.0
     assert res.trace.rel_error[-1] < 1e-8
+
+    # every iterate's channels equal the public metrics bit for bit; the
+    # solve cut at k iterations returns iterate k
+    a, x_true = gaussian_instance(30, 12, 4, 0.05, np.random.SeedSequence((0, 0)))
+    op = PowerCsOperator(a, 2, 3)
+    y = add_noise_db(op.apply(x_true), 30.0, np.random.SeedSequence((0, 1))).y_delta
+    for solve, step in ((hv_solve, STEP_FIXED), (hv_solve, STEP_ACCELERATED),
+                        (ista_solve, STEP_FIXED)):
+        cfg = SolverConfig(L=10.0, max_iters=15, tol=1e-12, x0=0.01 * np.ones(30),
+                           step=step)
+        params = (1e-4, 1.0) if solve is hv_solve else (1e-4,)
+        trace = solve(op, y, *params, cfg, x_true).trace
+        assert len(trace.rel_error) == len(trace.snr_db) == 16
+        for k in range(16):
+            x_k = solve(op, y, *params, replace(cfg, max_iters=k, record_trace=False)
+                        ).x_star if k else cfg.x0
+            assert trace.rel_error[k] == relative_error(x_k, x_true)
+            assert trace.snr_db[k] == snr_db(x_k, x_true)
+
+
+def test_zero_reference_fails_only_where_a_trace_needs_it():
+    op = MatrixOperator(np.eye(2))
+    y, zero = np.array([1.0, 0.0]), np.zeros(2)
+    with pytest.raises(DegenerateReferenceError):
+        hv_solve(op, y, 0.1, 0.0, SolverConfig(L=2.0), x_true=zero)
+    res = hv_solve(op, y, 0.1, 0.0, SolverConfig(L=2.0, record_trace=False), x_true=zero)
+    assert res.trace.rel_error == []
 
 
 def test_max_iters_termination():

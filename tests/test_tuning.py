@@ -1,15 +1,14 @@
-"""Parameter-choice rules and the noise-level rate study."""
+"""Parameter-choice rules and the log-log rate fit."""
 import numpy as np
 import pytest
 
 from hvsparse.core import ParameterError, add_noise_db
-from hvsparse.operators import MatrixOperator, PowerCsOperator
+from hvsparse.operators import MatrixOperator
 from hvsparse.regfunc import RegParams, objective
 from hvsparse.solvers import SolverConfig, hv_solve
 from hvsparse.tuning import (DEFAULT_ALPHA_GRID, DiscrepancyConfig,
-                             DiscrepancyResult, InstanceFamily,
-                             RateStudyReport, apriori_alpha,
-                             discrepancy_search, fit_loglog_slope, rate_study)
+                             DiscrepancyResult, apriori_alpha,
+                             discrepancy_search, fit_loglog_slope)
 
 
 def test_apriori_alpha_values():
@@ -134,38 +133,3 @@ def test_fit_loglog_slope_validation():
         fit_loglog_slope([0.0, 1e-1], [0.1, 0.2])
     with pytest.raises(ParameterError):
         fit_loglog_slope([1e-2, 1e-1], [-0.1, 0.2])
-
-
-def test_instance_family_build():
-    fam = InstanceFamily(n=12, m=6, s=2, scale=0.1)
-    op, x_true = fam.build(np.random.SeedSequence(0))
-    assert isinstance(op, MatrixOperator)
-    assert x_true.size == 12
-    fam_pow = InstanceFamily(n=12, m=6, s=2, scale=0.1, c=2, d=3)
-    op_pow, _ = fam_pow.build(np.random.SeedSequence(0))
-    assert isinstance(op_pow, PowerCsOperator)
-    with pytest.raises(ParameterError):
-        InstanceFamily(n=12, m=6, s=2, scale=0.1, c=2).build(
-            np.random.SeedSequence(0))
-
-
-def test_rate_study_validation():
-    fam = InstanceFamily(n=12, m=6, s=2, scale=0.1)
-    solver = SolverConfig(L=1.0)
-    with pytest.raises(ParameterError):
-        rate_study(fam, [1e-2, 1e-1], 0.0, 2.0, 1.0, [0, 1, 2], solver)
-    with pytest.raises(ParameterError):
-        rate_study(fam, [1e-3, 1e-2, 1e-1], 0.0, 2.0, 1.0, [0, 1], solver)
-
-
-def test_rate_study_linear_smoke():
-    fam = InstanceFamily(n=30, m=12, s=3, scale=0.05)
-    solver = SolverConfig(L=1.0, max_iters=400, tol=1e-9, x0=np.zeros(30))
-    report = rate_study(fam, (1e-3, 1e-2, 1e-1), 0.0, 2.0, 1.0, (0, 1, 2),
-                        solver)
-    assert isinstance(report, RateStudyReport)
-    assert report.alphas == report.deltas  # q = 2, kappa = 1
-    assert len(report.median_errors) == 3
-    assert not report.degenerate
-    assert report.slope > 0.0
-    assert all(e > 0 for e in report.median_errors)
