@@ -602,27 +602,41 @@ def _cmd_rate(args) -> int:
             raise ParameterError(f"need at least 3 {what}, got {len(values)}")
     alphas = [apriori_alpha(delta, args.q, args.kappa) for delta in args.deltas]
     medians = []
+    failed = 0
     for delta, alpha in zip(args.deltas, alphas):
         errs = []
         for seed in args.seeds:
             a, x_true = gaussian_instance(args.n, args.m, args.sparsity, args.scale,
                                           np.random.SeedSequence((seed, 0)))
             op = MatrixOperator(a) if args.c is None else PowerCsOperator(a, args.c, args.d)
-            data = add_noise_norm(op.apply(x_true), delta, np.random.SeedSequence((seed, 1)))
-            x_star = hv_solve(op, data.y_delta, alpha, args.eta, cfg).x_star
+            try:
+                y_delta = add_noise_norm(op.apply(x_true), delta,
+                                         np.random.SeedSequence((seed, 1))).y_delta
+                x_star = hv_solve(op, y_delta, alpha, args.eta, cfg).x_star
+            except NumericalOverflowError:
+                failed += 1
+                continue
             errs.append(float(np.linalg.norm(x_star - x_true)))
-        medians.append(float(np.median(errs)))
-    slope, degenerate = fit_loglog_slope(args.deltas, medians)
+        medians.append(float(np.median(errs)) if errs else float("nan"))
     for delta, alpha, err in zip(args.deltas, alphas, medians):
         print(f"delta={delta:.3e} alpha={alpha:.3e} median error={err:.3e}")
-    print(f"fitted log-log slope: {slope:.4f}" + (" (degenerate fit)" if degenerate else ""))
+    finite = [(delta, err) for delta, err in zip(args.deltas, medians) if not np.isnan(err)]
+    if len(finite) < 2:
+        print("no log-log fit: fewer than 2 noise levels have a finite median error")
+    else:
+        slope, degenerate = fit_loglog_slope(*zip(*finite))
+        print(f"fitted log-log slope: {slope:.4f}"
+              + (" (degenerate fit)" if degenerate else ""))
+    if failed:
+        print(f"{failed} of {len(args.deltas) * len(args.seeds)} solves failed"
+              " (numerical overflow)")
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write("delta,alpha,median_error\n")
             for row in zip(args.deltas, alphas, medians):
                 fh.write(",".join(repr(v) for v in row) + "\n")
         print(f"wrote {args.out}")
-    return 0
+    return 3 if failed else 0
 
 
 def _cmd_prox_check(args) -> int:

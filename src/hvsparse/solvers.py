@@ -6,21 +6,19 @@ as the smooth part and g(x) = alpha*||x||_1^2 as the convex part, taking
     x_next = prox(x + (2*alpha*eta/L)*x - (1/L)*F'(x)^T (F(x) - y_delta))
 
 with the squared-l1 prox at weight alpha/L, or alpha in compatibility mode
-(see SolverConfig); hv_solve picks that weight once and builds its one step
-and one objective from it. Two soft-thresholding baselines share the same
-loop and one soft-thresholding body: l1-minus-l2 (stl1l2_solve, a
-reconstruction of the cited iteration: the beta-term gradient
--beta*x/||x|| is skipped at x = 0) and plain l1 (ista_solve, the same body
-at beta = 0). The trace of every loop records the objective its step
-descends.
+(see SolverConfig). Two soft-thresholding baselines share one set of maps:
+l1-minus-l2 (stl1l2_solve, a reconstruction of the cited iteration: the
+beta-term gradient -beta*x/||x|| is skipped at x = 0) and plain l1
+(ista_solve, the same maps at beta = 0).
 
-All solvers stop when the l2 distance between adjacent iterates drops below
-``tol`` or after ``max_iters`` steps. ``hv_solve`` also offers an opt-in
-monotone accelerated rule (``SolverConfig.step = "accelerated"``): FISTA
-extrapolation with a backtracking line search and a restart whenever the
+Each solver supplies its maps (a step, the objective it descends, and the
+smooth part with its gradient) to the loop that ``SolverConfig.step`` names.
+The fixed loop takes the step 1/L until adjacent iterates lie closer than
+``tol`` or ``max_iters`` steps are taken. The accelerated loop adds FISTA
+extrapolation, a backtracking line search and a restart whenever the
 extrapolated step would raise the objective (Beck & Teboulle 2009; Li & Lin
-2015). It stops once the fixed step from the current iterate is shorter than
-``tol``.
+2015); it stops once the fixed step from the current iterate is shorter than
+``tol``. The trace of either loop records the objective its step descends.
 """
 
 from __future__ import annotations
@@ -43,8 +41,10 @@ STEP_FIXED = "fixed"
 STEP_ACCELERATED = "accelerated"
 STEP_RULES = (STEP_FIXED, STEP_ACCELERATED)
 
-# Line-search doublings of the step constant before a solve is given up.
+# Line-search doublings of the step constant before a solve is given up, and
+# the relative rounding its bound test forgives.
 MAX_BACKTRACKS = 60
+_BOUND_ROUNDING = 4.0 * float(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -75,19 +75,19 @@ class SolverConfig:
     step : str
         ``"fixed"`` (default): every iteration takes the step 1/L, the
         paper's iteration. ``"accelerated"``: monotone accelerated proximal
-        gradient, accepted by ``hv_solve`` only. Each iteration extrapolates
-        FISTA-style and takes a prox-gradient step from the extrapolated
-        point with step constant L_k, which starts at L and doubles (never
-        shrinks) until the quadratic upper bound on the smooth part
-        f = 0.5*||F(x)-y||^2 - alpha*eta*||x||^2 holds. A step that would
-        raise the objective is replaced by a plain prox-gradient step from
-        the current iterate and momentum restarts; the quadratic bound makes
-        that plain step a descent step, so the objective does not increase.
-        With prox weight w (alpha/L, or alpha in compat mode) the step at
-        L_k takes the prox at w*L/L_k and the objective descended is
-        0.5*||F(x)-y||^2 + w*L*||x||_1^2 - alpha*eta*||x||_2^2. Under either
-        rule the trace records that objective, the one the fixed step at L
-        descends as well.
+        gradient, for every solver. Each iteration extrapolates FISTA-style
+        and takes a prox-gradient step from the extrapolated point with
+        step constant L_k, which starts at L and doubles (never shrinks)
+        until the quadratic upper bound on the solver's smooth part holds up
+        to rounding. A step that would raise the objective is replaced by a
+        plain prox-gradient step from the current iterate and momentum
+        restarts, so the objective does not increase. hv_solve's smooth
+        part is 0.5*||F(x)-y||^2 - alpha*eta*||x||^2, and with prox weight
+        w (alpha/L, or alpha in compat mode) its step at L_k takes the prox
+        at w*L/L_k. The baselines' smooth part is 0.5*||F(x)-y||^2 -
+        beta*||x||_2 (beta = 0 for ista_solve), and they shrink at
+        alpha/L_k. Both rules descend, and trace, one objective per solver;
+        hv_solve's weights ||x||_1^2 by w*L.
     """
 
     L: float
@@ -159,8 +159,10 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _hv_maps(alpha, eta, L, weight):
-    """Return hv_solve's step(x, grad, L_k), a step 1/L_k with the prox at
-    weight*(L/L_k), and objective_of(x, res_norm), the objective it descends."""
+    """Return hv_solve's maps: step(x, grad, L_k), a step 1/L_k with the prox at
+    weight*(L/L_k); objective_of(x, res_norm), the objective it descends; and
+    smooth_of(u, r) with slope_of(u, grad), the smooth part and its gradient
+    at u, given r = F(u) - y and grad = F'(u)^T r."""
     def step(x, grad, L_k):
         v = _check_finite(x + (2.0 * alpha * eta / L_k) * x - grad / L_k, "gradient step v")
         return _sql1(v, weight * (L / L_k))[0]
@@ -169,7 +171,38 @@ def _hv_maps(alpha, eta, L, weight):
         norm1 = float(np.sum(np.abs(x)))
         return 0.5 * res_norm ** 2 + (weight * L) * norm1 * norm1 - alpha * eta * float(x @ x)
 
-    return step, objective_of
+    def smooth_of(u, r):
+        return 0.5 * float(r @ r) - alpha * eta * float(u @ u)
+
+    def slope_of(u, grad):
+        return grad - (2.0 * alpha * eta) * u
+
+    return step, objective_of, smooth_of, slope_of
+
+
+def _st_maps(alpha, beta):
+    """Return the soft-thresholding maps, as _hv_maps, for the objective
+    0.5*||F(x)-y||^2 + alpha*||x||_1 - beta*||x||_2: the step shrinks at
+    alpha/L_k, the smooth part is 0.5*||r||^2 - beta*||u||_2, and its
+    gradient skips -beta*u/||u|| at u = 0."""
+    def slope_of(u, grad):
+        if beta != 0.0:
+            norm_u = _norm(u)
+            if norm_u > 0.0:
+                return grad - (beta / norm_u) * u
+        return grad
+
+    def step(x, grad, L_k):
+        v = _check_finite(x - slope_of(x, grad) / L_k, "gradient step v")
+        return _shrink(v, np.abs(v), alpha / L_k)
+
+    def objective_of(x, res_norm):
+        return 0.5 * res_norm ** 2 + alpha * float(np.sum(np.abs(x))) - beta * _norm(x)
+
+    def smooth_of(u, r):
+        return 0.5 * float(r @ r) - beta * _norm(u)
+
+    return step, objective_of, smooth_of, slope_of
 
 
 def _evaluate(op, x, y_delta):
@@ -182,7 +215,7 @@ def hv_step(op, x, y_delta, alpha: float, eta: float, L: float) -> np.ndarray:
     """One proximal-gradient step of the main solver (prox weight alpha/L) from x."""
     x = as_vector(x, "x")
     lin, residual = _evaluate(op, x, as_vector(y_delta, "y_delta", op.output_dim))
-    step, _ = _hv_maps(alpha, eta, L, _check_alpha(alpha / L))
+    step = _hv_maps(alpha, eta, L, _check_alpha(alpha / L))[0]
     return step(x, lin.vjp(residual), L)
 
 
@@ -223,9 +256,9 @@ def _recorder(trace: IterateTrace, x_true):
     return record
 
 
-def _run_fixed_step(op, y_delta, cfg: SolverConfig, step, objective_of,
-                    x_true) -> RecoveryResult:
-    """Shared solver loop: take ``step(x, grad, cfg.L)`` until tol or max_iters."""
+def _run_fixed_step(op, y_delta, cfg: SolverConfig, maps, x_true) -> RecoveryResult:
+    """The paper's loop: take the maps' ``step(x, grad, cfg.L)`` until tol or max_iters."""
+    step, objective_of = maps[:2]
     y_delta, x, x_true = _start(op, y_delta, cfg, x_true)
     trace = IterateTrace()
     record = _recorder(trace, x_true)
@@ -238,16 +271,14 @@ def _run_fixed_step(op, y_delta, cfg: SolverConfig, step, objective_of,
     iterations = 0
     termination = TERMINATION_MAX_ITERS
     for k in range(1, cfg.max_iters + 1):
-        x_new = step(x, lin.vjp(residual), cfg.L)
-        step_norm = _norm(x_new - x)
-        x = x_new
+        x_prev, x = x, step(x, lin.vjp(residual), cfg.L)
+        step_norm = _norm(x - x_prev)
         lin, residual = _evaluate(op, x, y_delta)
         iterations = k
-        converged = step_norm < cfg.tol
         if cfg.record_trace:
             res_norm = _norm(residual)
             record(k, x, objective_of(x, res_norm), res_norm, step_norm)
-        if converged:
+        if step_norm < cfg.tol:
             termination = TERMINATION_CONVERGED
             break
 
@@ -257,29 +288,29 @@ def _run_fixed_step(op, y_delta, cfg: SolverConfig, step, objective_of,
                           stationarity=float(cfg.L * _norm(x - x_next)))
 
 
-def _run_accelerated(op, y_delta, alpha, eta, cfg: SolverConfig, step,
-                     objective_of, x_true) -> RecoveryResult:
-    """Monotone accelerated proximal gradient for hv_solve (see SolverConfig.step)."""
+def _run_accelerated(op, y_delta, cfg: SolverConfig, maps, x_true) -> RecoveryResult:
+    """Monotone accelerated proximal gradient on the maps (see SolverConfig.step)."""
+    step, objective_of, smooth_of, slope_of = maps
     y_delta, x, x_true = _start(op, y_delta, cfg, x_true)
     trace = IterateTrace()
     record = _recorder(trace, x_true)
     L = cfg.L
 
-    def smooth_of(u, r):
-        return 0.5 * float(r @ r) - alpha * eta * float(u @ u)
-
     def line_search(w, r_w, grad_w, L_k, z=None):
-        """Prox-gradient step from w; double L_k until f's quadratic bound holds.
-        z, if given, is the first trial step(w, grad_w, L_k), already computed.
-        Returns (z, linearization, residual, residual norm, objective, L_k) at z."""
+        """Prox-gradient step from w, first trying z if given; double L_k until the
+        smooth part's quadratic bound holds. Returns (z, lin, r, ||r||, obj, L_k)."""
         f_w = smooth_of(w, r_w)
-        slope = grad_w - (2.0 * alpha * eta) * w
+        slope = slope_of(w, grad_w)
         for _ in range(MAX_BACKTRACKS):
             if z is None:
                 z = step(w, grad_w, L_k)
             lin_z, r_z = _evaluate(op, z, y_delta)
             d = z - w
-            if smooth_of(z, r_z) <= f_w + float(slope @ d) + 0.5 * L_k * float(d @ d):
+            linear, quadratic = float(slope @ d), 0.5 * L_k * float(d @ d)
+            # on a quadratic of curvature L_k (the identity at L = 1) the bound holds
+            # with equality, so a miss within the rounding of its terms is no miss
+            slack = _BOUND_ROUNDING * (abs(f_w) + abs(linear) + quadratic)
+            if smooth_of(z, r_z) <= f_w + linear + quadratic + slack:
                 res_norm_z = _norm(r_z)
                 return z, lin_z, r_z, res_norm_z, objective_of(z, res_norm_z), L_k
             L_k *= 2.0
@@ -296,23 +327,19 @@ def _run_accelerated(op, y_delta, alpha, eta, cfg: SolverConfig, step,
     # the stopping test's point; a plain step at L_k == L takes it as its first trial
     x_fixed = step(x, grad, L)
 
-    L_k = L
-    t = 1.0
-    x_prev = x
+    L_k, t, x_prev = L, 1.0, x
     iterations = 0
     termination = TERMINATION_MAX_ITERS
     for k in range(1, cfg.max_iters + 1):
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        momentum = (t - 1.0) / t_next
-        t = t_next
+        momentum, t = (t - 1.0) / t_next, t_next
         plain = momentum == 0.0
         if not plain:
             w = x + momentum * (x - x_prev)
             lin_w, r_w = _evaluate(op, w, y_delta)
             z, lin_z, r_z, res_norm_z, obj_z, L_k = line_search(w, r_w, lin_w.vjp(r_w), L_k)
             if obj_z > obj:
-                plain = True
-                t = 1.0
+                plain, t = True, 1.0
         if plain:
             z, lin_z, r_z, res_norm_z, obj_z, L_k = line_search(
                 x, residual, grad, L_k, x_fixed if L_k == L else None)
@@ -322,10 +349,9 @@ def _run_accelerated(op, y_delta, alpha, eta, cfg: SolverConfig, step,
         x_fixed = step(x, grad, L)
         fixed_step = _norm(x - x_fixed)
         iterations = k
-        converged = fixed_step < cfg.tol
         if cfg.record_trace:
             record(k, x, obj, res_norm, step_norm)
-        if converged:
+        if fixed_step < cfg.tol:
             termination = TERMINATION_CONVERGED
             break
 
@@ -334,10 +360,7 @@ def _run_accelerated(op, y_delta, alpha, eta, cfg: SolverConfig, step,
                           stationarity=L * fixed_step)
 
 
-def _require_fixed_step(cfg: SolverConfig, solver: str) -> None:
-    if cfg.step != STEP_FIXED:
-        raise ParameterError(
-            f"{solver} supports only step={STEP_FIXED!r}, got {cfg.step!r}")
+_LOOPS = {STEP_FIXED: _run_fixed_step, STEP_ACCELERATED: _run_accelerated}
 
 
 def hv_solve(op, y_delta, alpha: float, eta: float, cfg: SolverConfig,
@@ -363,28 +386,7 @@ def hv_solve(op, y_delta, alpha: float, eta: float, cfg: SolverConfig,
     """
     RegParams(alpha, eta)  # raises ParameterError for an invalid alpha or eta
     weight = _check_alpha(alpha if cfg.compat_alpha_mode else alpha / cfg.L)
-    step, objective_of = _hv_maps(alpha, eta, cfg.L, weight)
-    if cfg.step == STEP_ACCELERATED:
-        return _run_accelerated(op, y_delta, alpha, eta, cfg, step, objective_of, x_true)
-    return _run_fixed_step(op, y_delta, cfg, step, objective_of, x_true)
-
-
-def _run_st(op, y_delta, alpha: float, beta: float, cfg: SolverConfig,
-            x_true) -> RecoveryResult:
-    """Soft-thresholding loop on 0.5*||F(x)-y||^2 + alpha*||x||_1 - beta*||x||_2."""
-    def step(x, grad, L):
-        if beta != 0.0:
-            norm_x = _norm(x)
-            if norm_x > 0.0:
-                grad = grad - (beta / norm_x) * x
-        v = _check_finite(x - grad / L, "gradient step v")
-        return _shrink(v, np.abs(v), alpha / L)
-
-    def objective_of(x, res_norm):
-        return (0.5 * res_norm ** 2 + alpha * float(np.sum(np.abs(x)))
-                - beta * _norm(x))
-
-    return _run_fixed_step(op, y_delta, cfg, step, objective_of, x_true)
+    return _LOOPS[cfg.step](op, y_delta, cfg, _hv_maps(alpha, eta, cfg.L, weight), x_true)
 
 
 def stl1l2_solve(op, y_delta, alpha: float, beta: float, cfg: SolverConfig,
@@ -402,8 +404,7 @@ def stl1l2_solve(op, y_delta, alpha: float, beta: float, cfg: SolverConfig,
     if not (0.0 <= beta <= alpha):
         raise ParameterError(f"beta must lie in [0, alpha], got beta={beta}, alpha={alpha}")
     _check_theta(alpha / cfg.L)
-    _require_fixed_step(cfg, "stl1l2_solve")
-    return _run_st(op, y_delta, alpha, beta, cfg, x_true)
+    return _LOOPS[cfg.step](op, y_delta, cfg, _st_maps(alpha, beta), x_true)
 
 
 def ista_solve(op, y_delta, alpha: float, cfg: SolverConfig, x_true=None) -> RecoveryResult:
@@ -415,5 +416,4 @@ def ista_solve(op, y_delta, alpha: float, cfg: SolverConfig, x_true=None) -> Rec
     if not (alpha >= 0 and np.isfinite(alpha)):
         raise ParameterError(f"alpha must be nonnegative and finite, got {alpha}")
     _check_theta(alpha / cfg.L)
-    _require_fixed_step(cfg, "ista_solve")
-    return _run_st(op, y_delta, alpha, 0.0, cfg, x_true)
+    return _LOOPS[cfg.step](op, y_delta, cfg, _st_maps(alpha, 0.0), x_true)

@@ -349,6 +349,22 @@ def test_cli_rate_matches_hand_loop(tmp_path, flags, model):
     assert out.read_text(encoding="utf-8") == _rate_csv_by_hand(model)
 
 
+def test_cli_rate_counts_overflowing_solves(tmp_path, capsys):
+    # the step 1/L = 1000 diverges wherever the a-priori alpha leaves x
+    # nonzero: those solves count as failed, and the study still writes its
+    # CSV, with nan where a noise level has no finite error, and exits 3
+    out = tmp_path / "rate.csv"
+    assert main(RATE_ARGS + ["--c", "3", "--d", "3", "--L", "0.001",
+                             "--out", str(out)]) == 3
+    stdout = capsys.readouterr().out
+    assert "of 9 solves failed (numerical overflow)" in stdout
+    assert "no log-log fit" in stdout
+    table = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert len(table) == 3
+    assert [err for _, _, err in table][:2] == ["nan", "nan"]
+    assert float(table[2][2]) > 0.0
+
+
 @pytest.mark.parametrize("flags, message", [
     (("--deltas", "1e-2,1e-1"), "at least 3 noise levels"),
     (("--seeds", "2"), "at least 3 seeds"),
